@@ -41,6 +41,7 @@ def available_parallelism_profile(mesh, seed=0, max_steps=2000):
         if not batch:
             return steps
         steps.append(len(batch))
+        new_slots: list[int] = []
         for p in batch:
             slots, new_tail = pool.allocate(len(p.cavity) + 4, mesh.n_tris)
             if new_tail > mesh.tri.shape[0]:
@@ -50,10 +51,12 @@ def available_parallelism_profile(mesh, seed=0, max_steps=2000):
                 info = apply_plan(mesh, p, slots)
             except (RuntimeError, ValueError):
                 continue
+            new_slots += info.new_slots
             used = set(info.new_slots)
             pool.release(np.asarray(
                 [s for s in slots.tolist() if s not in used]
                 + list(p.cavity), dtype=np.int64))
+        mesh.recompute_quality(new_slots)
     raise RuntimeError("profile did not terminate")
 
 

@@ -113,6 +113,7 @@ def refine_galois(mesh: TriMesh, threads: int = 48, *, seed: int = 0,
             except CavityError:
                 aborted += 1  # stale plan behaves like rolled-back work
                 continue
+            mesh.recompute_quality(info.new_slots)
             locked.update(p.claims)
             locked.update(info.new_slots)
             used = set(info.new_slots)

@@ -19,11 +19,14 @@ escape again, and refinement at a 30-degree bound does not terminate.
 
 :func:`plan_refinement` performs 1-3 with exact predicates and returns a
 :class:`RefinePlan`; :func:`apply_plan` performs 4 through the shared
-:func:`repro.meshing.cavity.retriangulate` core and refreshes quality
-flags.  The sequential and speculative-multicore baselines use these
-directly; the GPU kernel plans in vectorized device arithmetic
-(:mod:`.refine`) but applies winners through the same
-:func:`apply_plan`, so every path shares one mutation core.
+:func:`repro.meshing.cavity.retriangulate` core.  The sequential and
+speculative-multicore baselines use these directly; the GPU kernel plans
+in vectorized device arithmetic (:mod:`.refine`) but applies winners
+through the same :func:`apply_plan`, so every path shares one mutation
+core.  Quality flags of the new triangles are scored by the callers
+with :meth:`TriMesh.recompute_quality`: once per wave in the GPU
+kernel, after each applied plan in the baselines (their worklists read
+``isbad`` between operations).
 
 The *claim set* of a plan is the cavity plus its outer ring of
 neighbors: the rewrite updates adjacency links in the ring, so two
@@ -146,15 +149,16 @@ def apply_plan(mesh: TriMesh, plan: RefinePlan, slots: np.ndarray):
     """Execute a planned refinement; returns the CavityInfo.
 
     ``slots`` must hold at least ``len(plan.cavity) + 2`` free slots.
-    Raises ``RuntimeError`` if the plan is geometrically inconsistent
-    (possible when it was produced by the device-arithmetic planner);
-    callers treat that as an aborted operation.  The mesh is unmodified
-    on failure *only if* the failure is detected before deletion — the
-    retriangulation core validates star-shapedness first, which makes
-    that guarantee hold.
+    Raises a typed :class:`repro.errors.CavityError` if the plan is
+    geometrically inconsistent (possible when it was produced by the
+    device-arithmetic planner); callers treat that as an aborted
+    operation.  The retriangulation core runs its star-shape and slot
+    checks before its first write, so the mesh is unmodified on failure.
+
+    The new slots' ``isbad`` flags are not scored here: the caller
+    scores ``info.new_slots`` with :meth:`TriMesh.recompute_quality`
+    before it next reads ``isbad`` (see the module docstring).
     """
     if not plan.ok:
         raise ValueError(f"cannot apply skipped plan ({plan.reason})")
-    info = retriangulate(mesh, plan.cavity, plan.x, plan.y, slots)
-    mesh.recompute_quality(np.asarray(info.new_slots, dtype=np.int64))
-    return info
+    return retriangulate(mesh, plan.cavity, plan.x, plan.y, slots)

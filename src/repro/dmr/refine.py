@@ -16,7 +16,10 @@ remain (the paper's do-while in Fig. 3).  Each simulated kernel round:
 4. winners retriangulate their cavities through the exact shared core
    (:func:`repro.dmr.plan.apply_plan`) — a geometric inconsistency from
    device-precision planning is treated as an abort; losers back off
-   and retry in a later round;
+   and retry in a later round.  Nothing reads the bad flags between
+   winners, so the wave sets them for all its new triangles in one
+   vectorized :meth:`~repro.meshing.mesh.TriMesh.recompute_quality`
+   pass (the per-triangle bad flag of Section 6.2);
 5. deleted triangle slots are recycled (Section 7.2, Recycle) and the
    triangle arrays grow host-side with an over-allocation factor
    (Section 7.1, Host-Only).
@@ -508,6 +511,7 @@ def _refine_impl(mesh: TriMesh, config: DMRConfig | None,
                 marks = np.full(mesh.tri.shape[0], -1, dtype=np.int64)
             write_words = 0
             wave_wins = 0
+            new_slots: list[int] = []
             for i in winners:
                 p = plans[i]
                 need = len(p.cavity) + 4
@@ -519,6 +523,7 @@ def _refine_impl(mesh: TriMesh, config: DMRConfig | None,
                     aborted_geom += 1
                     pool.release(slots)  # unused; slots remain free
                     continue
+                new_slots += info.new_slots
                 used = set(info.new_slots)
                 unused = [s for s in slots.tolist() if s not in used]
                 if unused:
@@ -529,6 +534,7 @@ def _refine_impl(mesh: TriMesh, config: DMRConfig | None,
                 processed += 1
                 wave_wins += 1
                 added += 1
+            mesh.recompute_quality(new_slots)
             parallelism.append(wave_wins)
             kern_round_wins += wave_wins
 

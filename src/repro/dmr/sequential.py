@@ -113,6 +113,7 @@ def refine_sequential(mesh: TriMesh, *, seed: int = 0,
             except CavityError:
                 stale_skips += 1
                 continue
+            mesh.recompute_quality(info.new_slots)
             used = set(info.new_slots)
             free[:] = [s for s in free if s not in used] + list(p.cavity)
             dirty.update(p.claims)
@@ -133,6 +134,7 @@ def refine_sequential(mesh: TriMesh, *, seed: int = 0,
             if p.ok:
                 slots = take_slots(len(p.cavity) + 4)
                 info = apply_plan(mesh, p, slots)
+                mesh.recompute_quality(info.new_slots)
                 used = set(info.new_slots)
                 free[:] = [s for s in free if s not in used] + list(p.cavity)
                 processed += 1

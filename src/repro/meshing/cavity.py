@@ -8,7 +8,12 @@ level-synchronous vectorized form but reuses :func:`retriangulate`
 for the winners' rewrites, so both paths share one correctness core.
 
 All structural decisions go through the exact-fallback predicates in
-:mod:`.geometry`.
+:mod:`.geometry`.  Quality is not scored here: :func:`retriangulate`
+leaves the new slots' ``isbad`` flags to its callers, which score each
+batch of new triangles with one :meth:`TriMesh.recompute_quality` call
+(a DMR wave, an insertion round, each plan the worklist baselines
+apply; never in the Bowyer-Watson builder, whose final repack scores
+every triangle).
 """
 
 from __future__ import annotations
@@ -138,11 +143,17 @@ def retriangulate(mesh: TriMesh, cavity: list[int], x: float, y: float,
     hull-midpoint split case) produce no triangle — their two halves
     become new hull edges.
 
+    Every check (star shape, slot count) runs before the first write, so
+    a call that raises :class:`~repro.errors.NotStarShaped` or
+    :class:`~repro.errors.CavitySlotsExhausted` leaves the mesh
+    unmodified, new point included.  The new slots' ``isbad`` flags are
+    not set: callers score them with :meth:`TriMesh.recompute_quality`
+    before anything reads ``isbad``.
+
     Returns the new slots actually used (callers return extras to the
     pool).
     """
     boundary = cavity_boundary(mesh, cavity)
-    p = mesh.add_point(x, y)
     # Pre-read shared-edge info before any rewrite.
     fans = []  # (a, b, outside_tri, outside_edge)
     for (t, k, u, j) in boundary:
@@ -169,13 +180,17 @@ def retriangulate(mesh: TriMesh, cavity: list[int], x: float, y: float,
         raise CavitySlotsExhausted(
             f"need {len(fans)} slots, got {slots.size}",
             requested=len(fans), available=int(slots.size))
+    p = mesh.add_point(x, y)
     mesh.delete(np.asarray(cavity, dtype=np.int64))
     used = [int(slots[i]) for i in range(len(fans))]
-    # Write fan triangles: vertex order (a, b, p) so edge 0 is (a, b).
+    # Write fan triangles: vertex order (a, b, p) so edge 0 is (a, b);
+    # (a, b, p) is CCW by the exact o > 0 check above.
     half_edge: dict[tuple[int, int], tuple[int, int]] = {}
     for slot, (a, b, u, j) in zip(used, fans):
-        mesh.write_triangle(slot, a, b, p)
-        # write_triangle may not reorder: (a, b, p) is CCW by o > 0 above.
+        mesh.tri[slot] = (a, b, p)
+        mesh.nbr[slot] = -1
+        mesh.nbr_edge[slot] = -1
+        mesh.isdel[slot] = False
         mesh.link(slot, 0, u, j)
         # Edges 1 = (b, p) and 2 = (p, a) pair with adjacent fan triangles.
         for k, (ua, ub) in ((1, (b, p)), (2, (p, a))):
@@ -186,6 +201,7 @@ def retriangulate(mesh: TriMesh, cavity: list[int], x: float, y: float,
             else:
                 half_edge[(min(ua, ub), max(ua, ub))] = (slot, k)
     # Any unpaired fan edges become hull edges (midpoint-split case);
-    # they already carry nbr = -1 from write_triangle.
+    # they keep the nbr = -1 written above.
+    mesh.n_tris = max(mesh.n_tris, max(used, default=-1) + 1)
     return CavityInfo(new_slots=used, new_point=p,
                       old_size=len(cavity), new_size=len(fans))

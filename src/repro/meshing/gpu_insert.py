@@ -11,7 +11,9 @@ insert points into one triangulation concurrently.  Each round:
 2. the cavity-plus-ring claim goes through the same 3-phase marking as
    DMR (:func:`repro.core.conflict.three_phase_mark`);
 3. winners retriangulate through the shared mutation core; losers retry
-   next round.
+   next round.  The round then scores all its new triangles' quality
+   flags in one :meth:`~repro.meshing.mesh.TriMesh.recompute_quality`
+   pass.
 
 This exercises the morph toolkit end-to-end on a second real algorithm
 and doubles as a parallel mesh builder: the result equals an
@@ -158,6 +160,7 @@ def _insert_impl(mesh: TriMesh, x: np.ndarray, y: np.ndarray, *,
                                ensure_progress=True)
         wins = 0
         writes = 0
+        new_slots: list[int] = []
         for j in np.flatnonzero(res.winners):
             i, cav, _ = ok[int(j)]
             slots, new_tail = pool.allocate(len(cav) + 4, mesh.n_tris)
@@ -173,6 +176,7 @@ def _insert_impl(mesh: TriMesh, x: np.ndarray, y: np.ndarray, *,
                 aborted += 1
                 pool.release(slots)
                 continue
+            new_slots += info.new_slots
             used = set(info.new_slots)
             spare = [s for s in slots.tolist() if s not in used]
             if spare:
@@ -184,6 +188,7 @@ def _insert_impl(mesh: TriMesh, x: np.ndarray, y: np.ndarray, *,
             wins += 1
             writes += 12 * info.new_size
             start_hint = info.new_slots[0]
+        mesh.recompute_quality(new_slots)
         if san is not None:
             san.on_kernel_end("insert.round")
         aborted += res.num_aborted

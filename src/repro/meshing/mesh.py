@@ -17,6 +17,9 @@ can be deleted (flag) and slots recycled:
 * ``nbr_edge[t, k]`` — which edge of ``nbr[t, k]`` is the shared one,
 * ``isbad``, ``isdel`` — per-slot flags.
 
+``isbad`` is scored by :meth:`TriMesh.recompute_quality`, which writers
+call once per batch of new triangles.
+
 Capacity beyond ``n_tris``/``n_pts`` is pre-grown by callers through the
 addition strategies; all arrays for triangle slots share one capacity.
 """
@@ -164,7 +167,13 @@ class TriMesh:
         return self.n_pts - 1
 
     def write_triangle(self, slot: int, v0: int, v1: int, v2: int) -> None:
-        """Occupy a slot with a CCW triangle; neighbors set separately."""
+        """Occupy a slot with a CCW triangle and score its quality flag
+        through :meth:`recompute_quality`; neighbors set separately.
+
+        For single-triangle rewrites (:mod:`.edgeflip`).  The cavity fan
+        of :func:`repro.meshing.cavity.retriangulate` writes its rows
+        directly and its callers score each batch of new slots at once.
+        """
         o = geo.orient2d(self.px[v0], self.py[v0], self.px[v1], self.py[v1],
                          self.px[v2], self.py[v2])
         if o < 0:
@@ -176,9 +185,7 @@ class TriMesh:
         self.nbr_edge[slot] = -1
         self.isdel[slot] = False
         self.n_tris = max(self.n_tris, slot + 1)
-        ang = geo.min_angle_many(self.px[v0], self.py[v0], self.px[v1],
-                                 self.py[v1], self.px[v2], self.py[v2])
-        self.isbad[slot] = bool(ang < np.deg2rad(self.min_angle_deg))
+        self.recompute_quality([slot])
 
     def link(self, t: int, k: int, u: int, j: int) -> None:
         """Set mutual adjacency: edge k of t <-> edge j of u."""
@@ -192,6 +199,8 @@ class TriMesh:
         self.isdel[np.asarray(slots, dtype=np.int64)] = True
 
     def recompute_quality(self, slots: np.ndarray | None = None) -> None:
+        """Score ``isbad`` over ``slots`` (default: every live slot) in
+        one vectorized pass."""
         if slots is None:
             slots = self.live_slots()
         slots = np.asarray(slots, dtype=np.int64)

@@ -4,11 +4,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.errors import NotStarShaped
 from repro.meshing import (TriMesh, build_delaunay, cavity_boundary,
                            delaunay_cavity, locate, random_mesh,
                            retriangulate)
 from repro.meshing.io import load_mesh, save_mesh
 from repro.meshing.triangulation import morton_order
+
+
+def assert_unmodified(m, before):
+    """A failed mesh operation left no trace, new point included."""
+    assert m.n_pts == before.n_pts
+    assert m.n_tris == before.n_tris
+    for name in ("px", "py", "tri", "nbr", "isdel", "isbad"):
+        np.testing.assert_array_equal(getattr(m, name), getattr(before, name),
+                                      err_msg=name)
 
 
 def square_two_tris():
@@ -223,8 +233,27 @@ class TestCavityOps:
         vs = m.tri[t]
         cx, cy = float(m.px[vs].mean()), float(m.py[vs].mean())
         cav = delaunay_cavity(m, t, cx, cy)
+        before = m.copy()
         with pytest.raises(ValueError):
             retriangulate(m, cav, cx, cy, np.array([m.n_tris]))
+        assert_unmodified(m, before)
+
+    def test_retriangulate_not_star_shaped_raises(self, small_mesh):
+        m = small_mesh.copy()
+        t = int(m.live_slots()[0])
+        vs = m.tri[t]
+        # Reflect the centroid across edge 0: outside t, so the one-
+        # triangle "cavity" [t] is not star-shaped around it.
+        cx, cy = float(m.px[vs].mean()), float(m.py[vs].mean())
+        mx = (m.px[vs[0]] + m.px[vs[1]]) / 2
+        my = (m.py[vs[0]] + m.py[vs[1]]) / 2
+        x, y = float(2 * mx - cx), float(2 * my - cy)
+        start = m.n_tris
+        m.ensure_tri_capacity(start + 4)
+        before = m.copy()
+        with pytest.raises(NotStarShaped):
+            retriangulate(m, [t], x, y, np.arange(start, start + 4))
+        assert_unmodified(m, before)
 
 
 class TestMeshIO:

@@ -1,26 +1,20 @@
-"""Serving throughput: worker-pool wall clock and virtual-stream makespan.
+"""Serving throughput: worker-pool wall clock.
 
 Runs one mixed 8-job batch — DMR refinement, mesh insertion, survey
 propagation, points-to analysis, Boruvka MST, and generic-engine
 recoloring — through :class:`repro.serve.Scheduler` at ``workers`` = 1,
-2, and 4, then prices the same batch on the modeled GPU space-shared
-into 1, 2, and 4 virtual streams (FIFO and SJF placement).
+2, and 4.
 
-Two honesty notes, so the numbers mean what they say:
-
-* Half the batch carries ``FaultPlan(kind="delay")`` injected stalls,
-  modeling jobs blocked on an external resource (host transfer, cold
-  cache, I/O).  Those delays are what a worker pool genuinely overlaps
-  even on a single-core container; on a multicore machine the compute
-  overlaps as well.  The per-job digests are asserted byte-identical
-  across all worker counts, so the speedup is not bought with changed
-  results.
-* The virtual-stream numbers are *modeled GPU seconds* from the cost
-  model, not wall clock — they answer the multi-tenancy what-if for the
-  paper's device.
+Half the batch carries ``FaultPlan(kind="delay")`` injected stalls,
+modeling jobs blocked on an external resource (host transfer, cold
+cache, I/O).  Those delays are what a worker pool genuinely overlaps
+even on a single-core container; on a multicore machine the compute
+overlaps as well.  The per-job digests are asserted byte-identical
+across all worker counts, so the speedup is not bought with changed
+results.
 
 Emits ``BENCH_serve.json`` (schema ``repro.bench/1``) with one row per
-(workers | streams, policy) configuration.
+worker count.
 """
 
 from __future__ import annotations
@@ -30,7 +24,6 @@ import time
 from harness import SCALE, emit, emit_bench, table
 
 from repro.serve import FaultPlan, JobSpec, Scheduler
-from repro.vgpu.streams import schedule_streams
 
 #: injected external-resource stall per delayed job, seconds
 DELAY_S = 0.8 / SCALE
@@ -70,7 +63,6 @@ def main() -> None:
     rows, bench_rows = [], []
     digests_by_workers = {}
     base_wall = None
-    counters = None
 
     for workers in (1, 2, 4):
         sched = Scheduler(workers=workers, policy="fifo")
@@ -80,14 +72,11 @@ def main() -> None:
         assert report.ok, [r.failures for r in report.failed]
         digests_by_workers[workers] = {
             r.spec.name: r.result.digest for r in report.records}
-        if counters is None:
-            counters = {r.spec.name: r.result.counter
-                        for r in report.records}
         if base_wall is None:
             base_wall = wall
         speedup = base_wall / wall
         rows.append([f"workers={workers}", f"{wall:.3f}s",
-                     f"{speedup:.2f}x", "-"])
+                     f"{speedup:.2f}x"])
         bench_rows.append({"config": "pool", "workers": workers,
                            "policy": "fifo", "wall_s": round(wall, 4),
                            "speedup_vs_1": round(speedup, 3)})
@@ -97,27 +86,12 @@ def main() -> None:
         assert digs == first, \
             f"digests diverged at workers={workers}"
 
-    for policy in ("fifo", "sjf"):
-        for streams in (1, 2, 4):
-            sched = schedule_streams(counters, num_streams=streams,
-                                     policy=policy)
-            rows.append([f"streams={streams} ({policy})",
-                         f"{sched.makespan * 1e3:.3f}ms (modeled)",
-                         f"{sched.speedup_vs_serial:.2f}x",
-                         f"{sched.mean_queue_delay * 1e3:.3f}ms"])
-            bench_rows.append({
-                "config": "streams", "streams": streams, "policy": policy,
-                "modeled_makespan_s": round(sched.makespan, 6),
-                "modeled_serial_s": round(sched.serial_seconds, 6),
-                "speedup_vs_serial": round(sched.speedup_vs_serial, 3)})
-
     w4 = next(r for r in bench_rows
               if r["config"] == "pool" and r["workers"] == 4)
     assert w4["speedup_vs_1"] >= 2.0, \
         f"workers=4 speedup {w4['speedup_vs_1']} < 2x"
 
-    text = table(["configuration", "wall / makespan", "speedup",
-                  "mean queue delay"], rows)
+    text = table(["configuration", "wall", "speedup"], rows)
     text += ("\n\ndigests byte-identical across workers=1/2/4: yes"
              f"\ninjected external-resource delay per flagged job: "
              f"{DELAY_S:.2f}s (4 of 8 jobs)")

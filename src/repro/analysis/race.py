@@ -52,8 +52,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from ..vgpu import instrument
-from ..vgpu.instrument import SanitizerHooks
+from ..vgpu.instrument import SANITIZER, SanitizerHooks
 from .reports import (BARRIER_DIVERGENCE, DOUBLE_FREE, Finding, OUT_OF_BOUNDS,
                       READ_WRITE, USE_AFTER_FREE, WRITE_WRITE,
                       format_findings)
@@ -110,19 +109,17 @@ class RaceDetector(SanitizerHooks):
     def clean(self) -> bool:
         return not self.reports and not self.suppressed
 
+    @contextmanager
     def activate(self):
         """Context manager installing this detector as the sanitizer.
 
         Pending accesses of all open scopes are analyzed on exit.
         """
-        @contextmanager
-        def _scope():
-            with instrument.activate(self):
-                try:
-                    yield self
-                finally:
-                    self.flush()
-        return _scope()
+        with SANITIZER.activate(self):
+            try:
+                yield self
+            finally:
+                self.flush()
 
     @contextmanager
     def kernel(self, name: str):

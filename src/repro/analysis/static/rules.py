@@ -36,9 +36,11 @@ Static rules (run by ``python -m repro.analysis.static``):
     touches requires regenerating the manifest in the same commit
     (``--write-manifests``).
 
-The four ``KRN101``–``KRN104`` AST lint rules from the original
-:mod:`repro.analysis.lint` pass live in the same registry and report
-through the same finding type, CLI, suppressions and baseline.
+The four ``KRN101``–``KRN104`` AST lint rules (raw store in a launch
+block, host thread loop, missing op accounting, bare ``except``) live
+in the same registry and report through the same finding type, CLI,
+suppressions and baseline; ``--rules KRN101,KRN102,KRN103,KRN104``
+runs just them.
 """
 
 from __future__ import annotations

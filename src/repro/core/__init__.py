@@ -16,7 +16,7 @@ from .ragged import Ragged
 from .conflict import MarkResult, three_phase_mark, two_phase_mark, winners_disjoint
 from .worklist import CentralWorklist, LocalWorklists
 from .addition import (GrowthStrategy, HostOnly, KernelHost, KernelOnly,
-                       OutOfDeviceMemory, PreAllocation)
+                       PreAllocation)
 from .deletion import ExplicitDeletion, MarkingDeletion, RecycleDeletion
 from .adaptive import (AdaptiveConfig, FeedbackAdaptiveConfig, FixedConfig,
                        adaptive_from_dict)
@@ -33,7 +33,7 @@ __all__ = [
     "MarkResult", "three_phase_mark", "two_phase_mark", "winners_disjoint",
     "CentralWorklist", "LocalWorklists",
     "GrowthStrategy", "HostOnly", "KernelHost", "KernelOnly",
-    "OutOfDeviceMemory", "PreAllocation",
+    "PreAllocation",
     "ExplicitDeletion", "MarkingDeletion", "RecycleDeletion",
     "AdaptiveConfig", "FeedbackAdaptiveConfig", "FixedConfig",
     "adaptive_from_dict",

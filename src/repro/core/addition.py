@@ -29,13 +29,8 @@ from ..errors import OutOfDeviceMemory
 from ..vgpu.instrument import trace_gauge
 from ..vgpu.memory import ChunkAllocator, DeviceAllocator
 
-__all__ = ["OutOfDeviceMemory", "GrowthStrategy", "PreAllocation", "HostOnly",
-           "KernelHost", "KernelOnly"]
-
-# ``OutOfDeviceMemory`` used to be defined here; it now lives in
-# :mod:`repro.errors` as part of the typed DeviceFault hierarchy.  The
-# re-export above is the deprecation alias — ``repro.core.addition.
-# OutOfDeviceMemory`` stays importable and is the *same* class.
+__all__ = ["GrowthStrategy", "PreAllocation", "HostOnly", "KernelHost",
+           "KernelOnly"]
 
 
 @dataclass

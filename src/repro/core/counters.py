@@ -19,8 +19,8 @@ The counter records, per named kernel:
 Counts are plain integers; the class stays dependency-light so that
 substrates (meshing, graph generators) can use it too — its only
 coupling is a lazy hand-off of each launch to the
-:mod:`repro.vgpu.instrument` tracer registry (a ``None`` check when no
-tracer is active).
+``TRACER`` slot of :mod:`repro.vgpu.instrument` (a ``None`` check when
+no tracer is active).
 """
 
 from __future__ import annotations
@@ -185,7 +185,7 @@ class OpCounter:
             ks.issued_lane_steps += items
             ks.useful_lane_steps += items
             ks.critical_lane_steps += 1 if items else 0
-        tracer = _hooks().current_tracer()
+        tracer = _hooks().TRACER.current
         if tracer is not None:
             critical = (int(np.max(work_per_thread))
                         if work_per_thread is not None

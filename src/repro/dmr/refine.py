@@ -47,9 +47,7 @@ from ..meshing.mesh import TriMesh
 from ..resilience.addition import grow_array
 from ..resilience.deletion import ResilientRecyclePool
 from ..resilience.policy import launch_ok, maybe_activate_resilience
-from ..vgpu.instrument import (current_sanitizer, current_tracer,
-                               fault_transfer, maybe_activate,
-                               maybe_activate_tracer, trace_span)
+from ..vgpu.instrument import SANITIZER, TRACER, fault_transfer, trace_span
 from ..vgpu.memory import RecyclePool
 from ..vgpu.sync import BarrierModel, FENCE
 from .plan import RefinePlan, apply_plan
@@ -368,8 +366,8 @@ def refine_gpu(mesh: TriMesh, config: DMRConfig | None = None,
     Marking deletion.  Without it, injected faults propagate as typed
     :class:`repro.errors.ReproError`\\ s.
     """
-    with maybe_activate(sanitizer):
-        with maybe_activate_tracer(tracer):
+    with SANITIZER.maybe_activate(sanitizer):
+        with TRACER.maybe_activate(tracer):
             with maybe_activate_resilience(resilience):
                 with trace_span("dmr.refine_gpu", cat="driver"):
                     return _refine_impl(mesh, config, counter, resilience)
@@ -412,7 +410,7 @@ def _refine_impl(mesh: TriMesh, config: DMRConfig | None,
         outer += 1
         ctr.scalars["cfg_blocks"] = launch.blocks
         ctr.scalars["cfg_tpb"] = launch.threads_per_block
-        tr = current_tracer()
+        tr = TRACER.current
         if tr is not None:
             # Explicit begin/end (not a with-block): the span covers the
             # whole do-while iteration below.
@@ -448,7 +446,7 @@ def _refine_impl(mesh: TriMesh, config: DMRConfig | None,
 
         kern_round_wins = 0
         kern_attempts = 0
-        san = current_sanitizer()
+        san = SANITIZER.current
         if san is not None:
             # One sanitizer kernel scope per do-while iteration, matching
             # the dispatch granularity the cost model charges.

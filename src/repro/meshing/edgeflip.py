@@ -30,7 +30,7 @@ import numpy as np
 
 from ..core.counters import OpCounter
 from ..core.engine import MorphPlan, run_morph_rounds
-from ..vgpu.instrument import maybe_activate, maybe_activate_tracer, trace_span
+from ..vgpu.instrument import SANITIZER, TRACER, trace_span
 from . import geometry as geo
 from .mesh import TriMesh
 
@@ -127,8 +127,8 @@ def legalize_gpu(mesh: TriMesh, *, seed: int = 0,
     activates a :mod:`repro.obs` tracer; the morph engine supplies the
     per-round spans.
     """
-    with maybe_activate(sanitizer):
-        with maybe_activate_tracer(tracer):
+    with SANITIZER.maybe_activate(sanitizer):
+        with TRACER.maybe_activate(tracer):
             with trace_span("meshing.legalize_gpu", cat="driver"):
                 return _legalize_impl(mesh, seed=seed, counter=counter)
 

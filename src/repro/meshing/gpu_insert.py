@@ -34,9 +34,7 @@ from ..errors import CavityError, MaxRoundsExceeded
 from ..resilience.addition import grow_array
 from ..resilience.deletion import ResilientRecyclePool
 from ..resilience.policy import launch_ok, maybe_activate_resilience
-from ..vgpu.instrument import (current_sanitizer, current_tracer,
-                               maybe_activate, maybe_activate_tracer,
-                               trace_span)
+from ..vgpu.instrument import SANITIZER, TRACER, trace_span
 from ..vgpu.memory import RecyclePool
 from .cavity import delaunay_cavity, locate, retriangulate
 from .mesh import TriMesh
@@ -79,8 +77,8 @@ def gpu_insert_points(mesh: TriMesh, x: np.ndarray, y: np.ndarray, *,
     to Marking deletion on pool exhaustion; without it, injected device
     faults propagate typed.
     """
-    with maybe_activate(sanitizer):
-        with maybe_activate_tracer(tracer):
+    with SANITIZER.maybe_activate(sanitizer):
+        with TRACER.maybe_activate(tracer):
             with maybe_activate_resilience(resilience):
                 with trace_span("meshing.gpu_insert_points", cat="driver"):
                     return _insert_impl(
@@ -109,7 +107,7 @@ def _insert_impl(mesh: TriMesh, x: np.ndarray, y: np.ndarray, *,
         if not launch_ok(resil, "insertion.round"):
             continue    # absorbed transient abort: re-issue the round
         rounds += 1
-        tr = current_tracer()
+        tr = TRACER.current
         if tr is not None:
             tr.on_span_begin("insert.iteration", cat="iteration",
                              round=rounds)
@@ -152,7 +150,7 @@ def _insert_impl(mesh: TriMesh, x: np.ndarray, y: np.ndarray, *,
         claims = Ragged.from_lists([p[2] for p in ok])
         # One kernel scope per round so the marking round's ownership
         # grants cover the winners' retriangulation stores.
-        san = current_sanitizer()
+        san = SANITIZER.current
         if san is not None:
             san.on_kernel_begin("insert.round", round=rounds)
         res = three_phase_mark(mesh.tri.shape[0], claims, rng,

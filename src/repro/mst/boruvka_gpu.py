@@ -34,8 +34,7 @@ import numpy as np
 from ..core.counters import OpCounter
 from ..resilience.policy import launch_ok, maybe_activate_resilience
 from ..vgpu.atomics import atomic_min
-from ..vgpu.instrument import (current_tracer, maybe_activate,
-                               maybe_activate_tracer, trace_span)
+from ..vgpu.instrument import SANITIZER, TRACER, trace_span
 
 __all__ = ["MSTResult", "boruvka_gpu", "serve_job"]
 
@@ -71,8 +70,8 @@ def boruvka_gpu(num_nodes: int, src: np.ndarray, dst: np.ndarray,
     rounds refused by transient injected kernel aborts; without it, the
     fault propagates typed.
     """
-    with maybe_activate(sanitizer):
-        with maybe_activate_tracer(tracer):
+    with SANITIZER.maybe_activate(sanitizer):
+        with TRACER.maybe_activate(tracer):
             with maybe_activate_resilience(resilience):
                 with trace_span("mst.boruvka_gpu", cat="driver"):
                     return _boruvka_impl(num_nodes, src, dst, weight,
@@ -103,7 +102,7 @@ def _boruvka_impl(num_nodes: int, src: np.ndarray, dst: np.ndarray,
         if not launch_ok(resil, "mst.round"):
             continue    # absorbed transient abort: re-issue the round
         rounds += 1
-        tr = current_tracer()
+        tr = TRACER.current
         if tr is not None:
             tr.on_span_begin("mst.iteration", cat="iteration", round=rounds)
         cs = comp[es]

@@ -90,7 +90,7 @@ def write_bench(path: str | Path, figure: str, runs: list[dict], *,
     forever — the trajectory stays one batch per measured configuration.
     ``config`` participates so that several bench scripts can append
     distinct row families to one figure file (e.g. ``BENCH_serve.json``
-    carries ``pool``/``streams`` rows from the throughput bench and
+    carries ``pool`` rows from the throughput bench and
     ``gateway`` rows from the load bench) without clobbering each other.
     """
     path = Path(path)

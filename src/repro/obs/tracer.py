@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 from ..vgpu.costmodel import GPU_ATOMIC_UNITS, GPU_CYCLES_PER_STEP
 from ..vgpu.device import GpuSpec, TESLA_C2070
-from ..vgpu.instrument import TracerHooks, activate_tracer
+from ..vgpu.instrument import TRACER, TracerHooks
 from ..vgpu.sync import BarrierModel, HIERARCHICAL
 
 __all__ = ["SpanEvent", "Tracer"]
@@ -166,11 +166,9 @@ class Tracer(TracerHooks):
     # ------------------------------------------------------------------ #
     # user-facing conveniences                                           #
     # ------------------------------------------------------------------ #
-    @contextmanager
     def activate(self):
         """Install this tracer for a ``with`` block (manual wiring)."""
-        with activate_tracer(self):
-            yield self
+        return TRACER.activate(self)
 
     @contextmanager
     def span(self, name: str, cat: str = "span", **args):

@@ -25,8 +25,7 @@ import numpy as np
 from ..core.counters import OpCounter
 from ..resilience.addition import FallbackStorage
 from ..resilience.policy import launch_ok, maybe_activate_resilience
-from ..vgpu.instrument import (current_tracer, maybe_activate,
-                               maybe_activate_tracer, trace_span)
+from ..vgpu.instrument import SANITIZER, TRACER, trace_span
 from .bitset import BitMatrix
 from .constraints import Constraints, Kind
 from .graph import PullGraph
@@ -76,8 +75,8 @@ def andersen_pull(cons: Constraints, *, chunk_size: int = 1024,
     re-issues rounds refused by transient injected kernel aborts; the
     fixed point is a set, so a degraded run's result is byte-identical.
     """
-    with maybe_activate(sanitizer):
-        with maybe_activate_tracer(tracer):
+    with SANITIZER.maybe_activate(sanitizer):
+        with TRACER.maybe_activate(tracer):
             with maybe_activate_resilience(resilience):
                 with trace_span("pta.andersen_pull", cat="driver"):
                     return _andersen_pull_impl(cons, chunk_size=chunk_size,
@@ -121,7 +120,7 @@ def _andersen_pull_impl(cons: Constraints, *, chunk_size: int,
         if not launch_ok(resil, "pta.round"):
             continue    # absorbed transient abort: re-issue the round
         rounds += 1
-        tr = current_tracer()
+        tr = TRACER.current
         if tr is not None:
             tr.on_span_begin("pta.iteration", cat="iteration", round=rounds)
             tr.on_gauge("pta.enabled", int(changed.sum()))

@@ -26,13 +26,13 @@ round.
 
 from __future__ import annotations
 
-from contextlib import ExitStack, contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from typing import Mapping
 
 from ..errors import KernelAborted
 from ..vgpu.faults import DeviceFaultPlan
-from ..vgpu.instrument import fault_kernel, maybe_activate_faults, trace_gauge
+from ..vgpu.instrument import DEVICE_FAULTS, fault_kernel, trace_gauge
 
 __all__ = ["ResiliencePolicy", "Resilience", "launch_ok",
            "maybe_activate_resilience"]
@@ -123,10 +123,9 @@ class Resilience:
     def activate(self):
         """Install this run's device-fault injector (if a plan was
         given) for the ``with`` block; yields ``self``."""
-        with ExitStack() as stack:
-            if self.faults is not None:
-                self.injector = self.faults.injector()
-                stack.enter_context(maybe_activate_faults(self.injector))
+        if self.faults is not None:
+            self.injector = self.faults.injector()
+        with DEVICE_FAULTS.maybe_activate(self.injector):
             yield self
 
     def summary(self) -> dict:
@@ -136,15 +135,10 @@ class Resilience:
                 "effective_strategy": dict(self.effective_strategy)}
 
 
-@contextmanager
-def _null_context():
-    yield None
-
-
 def maybe_activate_resilience(resilience: "Resilience | None"):
     """``resilience.activate()`` or a no-op — the driver entry idiom."""
     if resilience is None:
-        return _null_context()
+        return nullcontext()
     return resilience.activate()
 
 

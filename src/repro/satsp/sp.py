@@ -33,8 +33,7 @@ import numpy as np
 
 from ..core.counters import OpCounter
 from ..resilience.policy import launch_ok, maybe_activate_resilience
-from ..vgpu.instrument import (current_tracer, maybe_activate,
-                               maybe_activate_tracer, trace_span)
+from ..vgpu.instrument import SANITIZER, TRACER, trace_span
 from .factorgraph import FactorGraph, exclude_one, _ZERO
 from .formula import CNF
 from .walksat import walksat
@@ -150,8 +149,8 @@ def run_sp(fg: FactorGraph, cfg: SPConfig,
     ``resilience`` (opt-in) re-issues SP phases refused by a transient
     injected kernel abort; without it, the fault propagates typed.
     """
-    with maybe_activate(sanitizer):
-        with maybe_activate_tracer(tracer):
+    with SANITIZER.maybe_activate(sanitizer):
+        with TRACER.maybe_activate(tracer):
             with maybe_activate_resilience(resilience):
                 with trace_span("satsp.run_sp", cat="driver"):
                     return _run_sp_impl(fg, cfg, counter, resilience)
@@ -170,7 +169,7 @@ def _run_sp_impl(fg: FactorGraph, cfg: SPConfig,
         if not launch_ok(resil, "sp.phase"):
             continue    # absorbed transient abort: re-issue the phase
         phases += 1
-        tr = current_tracer()
+        tr = TRACER.current
         if tr is not None:
             tr.on_span_begin("sp.phase", cat="iteration", phase=phases)
             tr.on_gauge("sp.unfixed", fg.num_unfixed)
@@ -238,7 +237,7 @@ def solve_sp(cnf: CNF, cfg: SPConfig | None = None,
     flips = cfg.walksat_flips
     if flips is None:
         flips = min(max(50_000, 100 * residual.num_vars), 300_000)
-    with maybe_activate_tracer(tracer):
+    with TRACER.maybe_activate(tracer):
         with trace_span("satsp.walksat", cat="driver",
                         residual_vars=residual.num_vars):
             ws = walksat(residual, max_flips=flips, seed=cfg.seed,

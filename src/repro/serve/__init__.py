@@ -11,15 +11,11 @@ points-to analysis, Boruvka MST, and the generic morph engine) as a
   timeouts, bounded exponential-backoff retries, and checkpoint resume;
 * :mod:`.checkpoint` — durable, atomically-written round-state
   checkpoints;
-* :mod:`.faults` — deterministic kill/delay fault injection, using the
-  registry discipline of :mod:`repro.vgpu.instrument`;
+* :mod:`.faults` — deterministic kill/delay and disk fault injection,
+  installed in :class:`~repro.vgpu.instrument.HookSlot` instances like
+  the device hooks;
 * :mod:`.scheduler` — FIFO / SJF batch ordering, per-job tracer spans
   and queue gauges, and the :class:`BatchReport` summary.
-
-Virtual multi-tenancy — pricing what the *modeled GPU* would do if the
-batch space-shared one device through CUDA-stream-style partitions —
-lives in :mod:`repro.vgpu.streams` and is surfaced through the CLI's
-``--streams`` flag.
 
 Run a batch from the shell::
 
@@ -27,10 +23,9 @@ Run a batch from the shell::
 """
 
 from .checkpoint import CheckpointStore, dumps_state, loads_state
-from .faults import (DISK_KINDS, DiskFaultInjector, DiskFaultPlan,
-                     DiskFaultRule, FaultInjected, FaultInjector, FaultPlan,
-                     activate, activate_disk, current_disk_injector,
-                     current_injector, maybe_activate, maybe_activate_disk)
+from .faults import (DISK_FAULTS, DISK_KINDS, JOB_FAULTS, DiskFaultInjector,
+                     DiskFaultPlan, DiskFaultRule, FaultInjected,
+                     FaultInjector, FaultPlan)
 from .jobs import (JobContext, JobError, JobResult, JobSpec, digest_arrays,
                    estimate_cost, get_adapter, known_algorithms)
 from .mutations import (OPS_BY_ALGORITHM, GraphMutationEffect,
@@ -42,10 +37,9 @@ from .scheduler import BatchReport, Scheduler, order_jobs
 
 __all__ = [
     "CheckpointStore", "dumps_state", "loads_state",
-    "FaultInjected", "FaultInjector", "FaultPlan", "activate",
-    "current_injector", "maybe_activate",
-    "DISK_KINDS", "DiskFaultInjector", "DiskFaultPlan", "DiskFaultRule",
-    "activate_disk", "current_disk_injector", "maybe_activate_disk",
+    "FaultInjected", "FaultInjector", "FaultPlan", "JOB_FAULTS",
+    "DISK_FAULTS", "DISK_KINDS", "DiskFaultInjector", "DiskFaultPlan",
+    "DiskFaultRule",
     "JobContext", "JobError", "JobResult", "JobSpec", "digest_arrays",
     "estimate_cost", "get_adapter", "known_algorithms",
     "OPS_BY_ALGORITHM", "GraphMutationEffect", "check_mutations",

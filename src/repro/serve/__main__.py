@@ -4,17 +4,11 @@ Usage::
 
     python -m repro.serve JOBS.json [--workers N] [--policy fifo|sjf]
                           [--checkpoint-dir DIR] [--tune-cache PATH]
-                          [--streams N] [--out RESULTS.json]
+                          [--out RESULTS.json]
 
 The job file is either a JSON list of job-spec dicts or an object with
 a ``"jobs"`` list (see ``examples/serve_jobs.json``).  Exit status is 1
 when any job ends ``failed`` after exhausting its retries.
-
-``--streams N`` additionally prices the batch on the virtual GPU as if
-its jobs space-shared one device through N CUDA-style streams
-(:mod:`repro.vgpu.streams`) and prints the modeled makespan against
-serial execution — the multi-tenancy what-if the wall-clock numbers
-cannot show.
 """
 
 from __future__ import annotations
@@ -36,25 +30,6 @@ def load_jobs(path: str | Path) -> list[JobSpec]:
     return [JobSpec.from_dict(d) for d in data]
 
 
-def _stream_report(report, num_streams: int) -> str:
-    from ..vgpu.streams import schedule_streams
-
-    counters = {r.spec.name: r.result.counter
-                for r in report.records if r.result is not None}
-    if not counters:
-        return "streams: no completed jobs to price"
-    sched = schedule_streams(counters, num_streams=num_streams,
-                             policy=report.policy
-                             if report.policy in ("fifo", "sjf") else "fifo")
-    lines = [f"virtual streams ({num_streams}): modeled makespan "
-             f"{sched.makespan:.6f}s vs serial {sched.serial_seconds:.6f}s "
-             f"({sched.speedup_vs_serial:.2f}x)"]
-    for slot in sched.slots:
-        lines.append(f"  stream {slot.stream}: {slot.job} "
-                     f"[{slot.start:.6f}s, {slot.end:.6f}s)")
-    return "\n".join(lines)
-
-
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(
         prog="python -m repro.serve",
@@ -68,8 +43,6 @@ def main(argv=None) -> int:
     ap.add_argument("--tune-cache", default=None,
                     help="repro.tune cache whose measured costs refine "
                          "the SJF proxy (and back strategy='auto' jobs)")
-    ap.add_argument("--streams", type=int, default=0,
-                    help="also price the batch on N virtual GPU streams")
     ap.add_argument("--out", default=None,
                     help="write the batch report as JSON to this path")
     args = ap.parse_args(argv)
@@ -91,10 +64,6 @@ def main(argv=None) -> int:
     for rec in report.failed:
         for msg in rec.failures:
             print(f"FAILED {rec.spec.name}: {msg}", file=sys.stderr)
-
-    if args.streams > 0:
-        print()
-        print(_stream_report(report, args.streams))
 
     if args.out:
         Path(args.out).write_text(json.dumps(report.to_dict(), indent=2))

@@ -5,9 +5,9 @@ Production queues are tested by killing and delaying their workers; a
 :class:`FaultPlan` travels inside a :class:`~repro.serve.jobs.JobSpec`
 (it is plain data, JSON- and pickle-able), and the worker materializes
 it into a :class:`FaultInjector` for each attempt.  The injector is
-installed with :func:`activate` for the dynamic extent of the attempt —
-the same registry discipline as :mod:`repro.vgpu.instrument` — and the
-job runner consults :func:`current_injector` at the two hook sites:
+installed in the :data:`JOB_FAULTS` slot for the dynamic extent of the
+attempt — a :class:`~repro.vgpu.instrument.HookSlot`, like the device
+hooks — and the job runner offers it the two hook sites:
 
 * **job start** (every algorithm), and
 * **round boundaries** (jobs driven through
@@ -19,7 +19,8 @@ job runner consults :func:`current_injector` at the two hook sites:
 ``delay_s`` wall-clock seconds (modeling a job stuck on an external
 resource — a host transfer, a cold cache, an I/O stall) and continues.
 Both fire only on the attempt numbers listed in ``attempts``, so a test
-can kill attempt 1 and let the retry through.
+can kill attempt 1 and let the retry through.  Device and disk kinds
+never fire at these job-level sites.
 
 *Device* fault kinds (any of :data:`repro.vgpu.faults.FAULT_KINDS`:
 ``oom``, ``chunk_exhausted``, ``pool_exhausted``, ``kernel_abort``,
@@ -38,29 +39,28 @@ gateway journal) is one fault site, counted deterministically and
 fired by the same seeded splitmix64 machinery as
 :mod:`repro.vgpu.faults` — so "the disk died under the checkpoint
 spool" is as replayable as "the device OOMed on malloc 3".  A
-:class:`DiskFaultInjector` is installed with :func:`activate_disk`
-(its own registry slot, composing with the job-level injector), either
-directly by a test, by :mod:`repro.serve.pool` when a spec's
-``fault`` envelope carries a disk kind, or by the gateway journal for
-its own appends.
+:class:`DiskFaultInjector` is installed in the :data:`DISK_FAULTS`
+slot (composing with the job-level one), either directly by a test, by
+:mod:`repro.serve.pool` when a spec's ``fault`` envelope carries a disk
+kind, or by the gateway journal for its own appends.
 """
 
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Mapping
 
 from ..vgpu.faults import FAULT_KINDS as DEVICE_KINDS
 from ..vgpu.faults import DeviceFaultPlan, DeviceFaultRule, _hash01
+from ..vgpu.instrument import HookSlot
 
-__all__ = ["FaultInjected", "FaultPlan", "FaultInjector",
-           "current_injector", "activate", "maybe_activate",
-           "DISK_KINDS", "DiskFaultRule", "DiskFaultPlan",
-           "DiskFaultInjector", "current_disk_injector", "activate_disk",
-           "maybe_activate_disk"]
+__all__ = ["DISK_FAULTS", "DISK_KINDS", "JOB_FAULTS", "DiskFaultInjector",
+           "DiskFaultPlan", "DiskFaultRule", "FaultInjected",
+           "FaultInjector", "FaultPlan"]
 
+#: job-level kinds fired by :class:`FaultInjector` at job/round sites
+_JOB_KINDS = ("kill", "delay")
 #: disk-fault kinds fired at :mod:`repro.storage` write sites
 DISK_KINDS = ("torn_write", "enospc", "replace_crash", "fsync_lost")
 
@@ -106,7 +106,7 @@ class FaultPlan:
     path: str | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in ("kill", "delay") + DEVICE_KINDS + DISK_KINDS:
+        if self.kind not in _JOB_KINDS + DEVICE_KINDS + DISK_KINDS:
             raise ValueError(f"unknown fault kind {self.kind!r}")
         object.__setattr__(self, "attempts", tuple(int(a) for a in self.attempts))
         object.__setattr__(self, "at_event", tuple(int(a) for a in self.at_event))
@@ -176,8 +176,8 @@ class FaultInjector:
     fired: int = field(default=0)
 
     def _due(self, round_: int | None) -> bool:
-        if self.plan.is_device:
-            return False    # device faults fire in the vgpu fault layer
+        if self.plan.kind not in _JOB_KINDS:
+            return False    # device and disk faults fire in their own layers
         if self.attempt not in self.plan.attempts:
             return False
         return self.plan.at_round == round_
@@ -200,34 +200,8 @@ class FaultInjector:
             self._fire()
 
 
-_current: FaultInjector | None = None
-
-
-def current_injector() -> FaultInjector | None:
-    """The innermost active fault injector, or ``None``."""
-    return _current
-
-
-@contextmanager
-def activate(injector: FaultInjector):
-    """Install ``injector`` for the dynamic extent of the ``with`` block."""
-    global _current
-    prev = _current
-    _current = injector
-    try:
-        yield injector
-    finally:
-        _current = prev
-
-
-@contextmanager
-def maybe_activate(injector: FaultInjector | None):
-    """Like :func:`activate` but a no-op when ``injector`` is ``None``."""
-    if injector is None:
-        yield None
-        return
-    with activate(injector):
-        yield injector
+#: the innermost active job-level :class:`FaultInjector`
+JOB_FAULTS = HookSlot()
 
 
 # ------------------------------------------------------------------ #
@@ -370,31 +344,5 @@ class DiskFaultInjector:
         return None
 
 
-_current_disk: DiskFaultInjector | None = None
-
-
-def current_disk_injector() -> DiskFaultInjector | None:
-    """The innermost active disk-fault injector, or ``None``."""
-    return _current_disk
-
-
-@contextmanager
-def activate_disk(injector: DiskFaultInjector):
-    """Install ``injector`` for the dynamic extent of the ``with`` block."""
-    global _current_disk
-    prev = _current_disk
-    _current_disk = injector
-    try:
-        yield injector
-    finally:
-        _current_disk = prev
-
-
-@contextmanager
-def maybe_activate_disk(injector: DiskFaultInjector | None):
-    """Like :func:`activate_disk` but a no-op when ``injector`` is ``None``."""
-    if injector is None:
-        yield None
-        return
-    with activate_disk(injector):
-        yield injector
+#: the innermost active :class:`DiskFaultInjector`
+DISK_FAULTS = HookSlot()

@@ -44,8 +44,7 @@ from ..core.engine import EngineCheckpoint
 from ..errors import CorruptCheckpoint
 from ..resilience import Resilience
 from .checkpoint import CheckpointStore
-from .faults import (FaultInjected, FaultInjector, maybe_activate,
-                     maybe_activate_disk)
+from .faults import DISK_FAULTS, JOB_FAULTS, FaultInjected, FaultInjector
 from .jobs import (JobContext, JobError, JobResult, JobSpec, digest_arrays,
                    get_adapter)
 
@@ -152,8 +151,8 @@ def _execute_job(spec_dict: dict, checkpoint_dir: str | None,
             resilience=resil,
         )
         try:
-            with maybe_activate(injector), device_cm, \
-                    maybe_activate_disk(disk_injector):
+            with JOB_FAULTS.maybe_activate(injector), device_cm, \
+                    DISK_FAULTS.maybe_activate(disk_injector):
                 if injector is not None:
                     injector.on_job_start()
                 if deadline is not None and time.monotonic() > deadline:
@@ -202,29 +201,18 @@ def run_job(spec: JobSpec, checkpoint_dir: str | None = None) -> JobRecord:
 
 
 def submit_batch(specs, *, workers: int = 0,
-                 checkpoint_dir: str | None = None,
-                 executor=None) -> list[JobRecord]:
+                 checkpoint_dir: str | None = None) -> list[JobRecord]:
     """Run ``specs`` and return records in submission order.
 
     ``workers=0`` runs every job inline in this process (deterministic,
-    no pickling); ``workers>=1`` fans out over a process pool, with
-    results still reported in submission order.
-
-    ``executor`` injects a reusable :class:`ProcessPoolExecutor`-shaped
-    pool (anything with ``submit``): repeat callers keep their workers
-    warm across batches instead of paying process startup per batch —
-    the caller owns the executor's lifetime, and it is *not* shut down
-    here.  Ignored on the inline path, which stays byte-identical.
+    no pickling); ``workers>=1`` fans out over a fresh process pool,
+    with results still reported in submission order.  Long-lived callers
+    that want warm workers use :class:`repro.gateway.workers.WorkerPool`.
     """
     specs = list(specs)
-    if workers <= 0 and executor is None:
+    if workers <= 0:
         return [run_job(s, checkpoint_dir) for s in specs]
     submitted = time.monotonic()
-    if executor is not None:
-        futures = [executor.submit(_execute_job, s.to_dict(),
-                                   checkpoint_dir, submitted)
-                   for s in specs]
-        return [f.result() for f in futures]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(_execute_job, s.to_dict(), checkpoint_dir,
                                submitted)

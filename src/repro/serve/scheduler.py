@@ -127,9 +127,6 @@ class Scheduler:
     #: ``on_batch(report)`` once the batch settles — the hook point the
     #: scenario record/replay harness captures golden outcomes through
     recorder: object | None = None
-    #: optional injected executor (anything with ``submit``) reused
-    #: across batches instead of a fresh process pool per batch
-    executor: object | None = None
     #: most recent batch, for callers that want to poke at records
     last_report: BatchReport | None = field(default=None, repr=False)
 
@@ -167,8 +164,7 @@ class Scheduler:
             self.tracer.on_gauge("serve.queue_depth", len(ordered))
         t0 = time.monotonic()
         records = submit_batch(ordered, workers=self.workers,
-                               checkpoint_dir=self.checkpoint_dir,
-                               executor=self.executor)
+                               checkpoint_dir=self.checkpoint_dir)
         wall_s = time.monotonic() - t0
         report = BatchReport(records=records, policy=self.policy,
                              workers=self.workers, wall_s=wall_s)

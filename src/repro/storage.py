@@ -22,8 +22,8 @@ journal) now share:
   :class:`~repro.errors.ArtifactError`.
 
 Every write is also a **disk-fault site**: if a
-:class:`repro.serve.faults.DiskFaultInjector` is active (via
-:func:`repro.serve.faults.activate_disk`), the write consults it and
+:class:`repro.serve.faults.DiskFaultInjector` is active (in the
+:data:`repro.serve.faults.DISK_FAULTS` slot), the write consults it and
 acts out the fired kind at the exact protocol step it models —
 ``enospc`` and ``torn_write`` cut the temp write short,
 ``replace_crash`` dies before the rename, ``fsync_lost`` models power
@@ -40,7 +40,7 @@ import os
 from pathlib import Path
 
 from .errors import DiskFull, TornWrite
-from .serve.faults import FaultInjected, current_disk_injector
+from .serve.faults import DISK_FAULTS, FaultInjected
 
 __all__ = ["atomic_write_bytes", "atomic_write_json", "fsync_dir",
            "quarantine"]
@@ -85,7 +85,7 @@ def atomic_write_bytes(path: str | Path, data: bytes, *,
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
-    injector = current_disk_injector()
+    injector = DISK_FAULTS.current
     kind = injector.on_write(path) if injector is not None else None
 
     if kind == "enospc":

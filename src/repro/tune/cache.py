@@ -142,8 +142,8 @@ class TuningCache:
             # Deterministic kill site for the atomicity property tests:
             # a serve.faults injector active here fires after the temp
             # write but before the publish rename.
-            from ..serve.faults import current_injector
-            inj = current_injector()
+            from ..serve.faults import JOB_FAULTS
+            inj = JOB_FAULTS.current
             if inj is not None:
                 inj.on_job_start()
 

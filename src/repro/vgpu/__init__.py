@@ -6,9 +6,9 @@ simulated race orders (:mod:`.atomics`), global-barrier cost models
 (:mod:`.sync`), device memory / chunk / recycle allocators
 (:mod:`.memory`), kernel launch bookkeeping and an SPMD generator-thread
 executor (:mod:`.kernel`), the counts-to-seconds cost model
-(:mod:`.costmodel`), and the sanitizer/tracer hook point every primitive
-reports through (:mod:`.instrument`, consumed by :mod:`repro.analysis`
-and :mod:`repro.obs`).
+(:mod:`.costmodel`), and the sanitizer/tracer/fault hook slots every
+primitive reports through (:mod:`.instrument`, consumed by
+:mod:`repro.analysis`, :mod:`repro.obs` and :mod:`.faults`).
 """
 
 from .device import CpuSpec, GpuSpec, LaunchConfig, TESLA_C2070, XEON_E7540
@@ -16,11 +16,8 @@ from .sync import BarrierKind, BarrierModel, FENCE, HIERARCHICAL, NAIVE_ATOMIC
 from .memory import ChunkAllocator, ChunkList, DeviceAllocator, RecyclePool
 from .kernel import KernelLauncher, spmd_launch
 from .costmodel import CostModel, ModeledTimes
-from .streams import (StreamSchedule, StreamSlot, VirtualStream,
-                      partition_streams, schedule_streams, stream_time)
-from .instrument import (SanitizerHooks, TracerHooks, activate,
-                         activate_tracer, current_sanitizer, current_tracer,
-                         maybe_activate, maybe_activate_tracer, record_read,
+from .instrument import (DEVICE_FAULTS, SANITIZER, TRACER, HookSlot,
+                         SanitizerHooks, TracerHooks, record_read,
                          record_write, trace_gauge, trace_launch, trace_span)
 from . import atomics, instrument
 
@@ -29,10 +26,7 @@ __all__ = [
     "BarrierKind", "BarrierModel", "FENCE", "HIERARCHICAL", "NAIVE_ATOMIC",
     "ChunkAllocator", "ChunkList", "DeviceAllocator", "RecyclePool",
     "KernelLauncher", "spmd_launch", "CostModel", "ModeledTimes", "atomics",
-    "VirtualStream", "StreamSlot", "StreamSchedule", "partition_streams",
-    "schedule_streams", "stream_time",
-    "SanitizerHooks", "activate", "current_sanitizer", "maybe_activate",
-    "record_read", "record_write", "instrument",
-    "TracerHooks", "activate_tracer", "current_tracer",
-    "maybe_activate_tracer", "trace_span", "trace_launch", "trace_gauge",
+    "DEVICE_FAULTS", "SANITIZER", "TRACER", "HookSlot", "instrument",
+    "SanitizerHooks", "record_read", "record_write",
+    "TracerHooks", "trace_span", "trace_launch", "trace_gauge",
 ]

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .instrument import current_sanitizer
+from .instrument import SANITIZER
 
 __all__ = [
     "scatter_write",
@@ -65,7 +65,7 @@ def scatter_write(dest: np.ndarray, idx: np.ndarray, val: np.ndarray,
     """
     idx = np.asarray(idx)
     val = np.asarray(val)
-    san = current_sanitizer()
+    san = SANITIZER.current
     if san is not None:
         # Recorded unconditionally, before any fast path below.
         san.on_write(dest, idx, tids=tids, kind="plain", intent=intent)
@@ -84,7 +84,7 @@ def scatter_write(dest: np.ndarray, idx: np.ndarray, val: np.ndarray,
 
 def atomic_add(dest: np.ndarray, idx: np.ndarray, val) -> None:
     """``atomicAdd`` without observed return values: exact final state."""
-    san = current_sanitizer()
+    san = SANITIZER.current
     if san is not None:
         san.on_write(dest, idx, kind="atomic")
     np.add.at(dest, idx, val)
@@ -92,7 +92,7 @@ def atomic_add(dest: np.ndarray, idx: np.ndarray, val) -> None:
 
 def atomic_min(dest: np.ndarray, idx: np.ndarray, val) -> None:
     """``atomicMin``: exact final state (order-independent)."""
-    san = current_sanitizer()
+    san = SANITIZER.current
     if san is not None:
         san.on_write(dest, idx, kind="atomic")
     np.minimum.at(dest, idx, val)
@@ -100,7 +100,7 @@ def atomic_min(dest: np.ndarray, idx: np.ndarray, val) -> None:
 
 def atomic_max(dest: np.ndarray, idx: np.ndarray, val) -> None:
     """``atomicMax``: exact final state (order-independent)."""
-    san = current_sanitizer()
+    san = SANITIZER.current
     if san is not None:
         san.on_write(dest, idx, kind="atomic")
     np.maximum.at(dest, idx, val)
@@ -112,7 +112,7 @@ def atomic_or(dest: np.ndarray, idx, val) -> None:
     ``idx`` may be a tuple of index arrays for multi-dimensional
     destinations (the bit-matrix case in :mod:`repro.pta.bitset`).
     """
-    san = current_sanitizer()
+    san = SANITIZER.current
     if san is not None:
         san.on_write(dest, idx, kind="atomic")
     np.bitwise_or.at(dest, idx, val)
@@ -134,7 +134,7 @@ def fetch_add_serialized(dest: np.ndarray, idx: np.ndarray, val: np.ndarray,
     """
     idx = np.asarray(idx)
     val = np.asarray(val)
-    san = current_sanitizer()
+    san = SANITIZER.current
     if san is not None:
         san.on_write(dest, idx, kind="atomic")
     if idx.size == 0:
@@ -175,7 +175,7 @@ def atomic_cas_batch(dest: np.ndarray, idx: np.ndarray, expected, new,
     vacuously (empty result, no stores, no randomness consumed).
     """
     idx = np.asarray(idx)
-    san = current_sanitizer()
+    san = SANITIZER.current
     if san is not None:
         san.on_write(dest, idx, kind="atomic")
     expected = np.broadcast_to(np.asarray(expected), idx.shape)

@@ -6,9 +6,9 @@ survive: allocator OOM, §7.1 chunk-pool exhaustion, transient kernel
 aborts, and slow host transfers.  A :class:`DeviceFaultPlan` is plain,
 seeded data (JSON- and pickle-able, like ``serve.FaultPlan``) and
 materializes into a :class:`DeviceFaultInjector` — a
-:class:`~repro.vgpu.instrument.FaultHooks` client installed with
-:func:`repro.vgpu.instrument.activate_faults`, so it composes with the
-sanitizer and tracer registries.
+:class:`~repro.vgpu.instrument.FaultHooks` client installed in the
+:data:`repro.vgpu.instrument.DEVICE_FAULTS` slot, so it composes with
+the sanitizer and tracer slots.
 
 Determinism is the whole design: a fault fires as a pure function of
 the plan and the injector's own event counters — *which* malloc, *which*
@@ -33,8 +33,7 @@ from __future__ import annotations
 
 import time
 import zlib
-from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from ..errors import (ChunkPoolExhausted, KernelAborted, OutOfDeviceMemory,
@@ -254,8 +253,6 @@ class DeviceFaultInjector(instrument.FaultHooks):
 
     # -- convenience ------------------------------------------------ #
 
-    @contextmanager
     def activate(self):
-        """Install this injector via the instrument registry."""
-        with instrument.activate_faults(self):
-            yield self
+        """Install this injector in the ``DEVICE_FAULTS`` slot."""
+        return instrument.DEVICE_FAULTS.activate(self)

@@ -1,32 +1,35 @@
-"""Instrumentation hook registry for the virtual GPU.
+"""Instrumentation hook slots for the virtual GPU.
 
-This module is the *hook point* between the simulated device and the
-two observability subsystems — the :mod:`repro.analysis` sanitizer and
-the :mod:`repro.obs` tracer — and deliberately knows nothing about any
-concrete client.  The device primitives (:mod:`.atomics`,
-:mod:`.memory`, :mod:`.kernel`), the conflict engine
-(:mod:`repro.core.conflict`) and the counters consult
-:func:`current_sanitizer` / :func:`current_tracer` on every operation;
-when no client is active (the default) each check is a single ``None``
-comparison, so production runs pay essentially nothing and consume no
-RNG draws.
+This module is the *hook point* between the simulated device and its
+scoped clients — the :mod:`repro.analysis` sanitizer, the
+:mod:`repro.obs` tracer and the :mod:`repro.vgpu.faults` device-fault
+injector — and deliberately knows nothing about any concrete client.
+Each client kind has one process-global :class:`HookSlot`
+(:data:`SANITIZER`, :data:`TRACER`, :data:`DEVICE_FAULTS`); the device
+primitives (:mod:`.atomics`, :mod:`.memory`, :mod:`.kernel`), the
+conflict engine (:mod:`repro.core.conflict`) and the counters read
+``SLOT.current`` on every operation.  When no client is active (the
+default) each check is one attribute load and a ``None`` comparison,
+so production runs pay essentially nothing and consume no RNG draws.
 
 A sanitizer is any object implementing the :class:`SanitizerHooks`
 interface (all methods are optional no-ops on the base class).  It is
-installed for a dynamic scope with :func:`activate`::
+installed for a dynamic scope with its slot::
 
     from repro.analysis import RaceDetector
 
     det = RaceDetector()
-    with det.activate():          # wraps instrument.activate(det)
+    with det.activate():          # wraps SANITIZER.activate(det)
         refine_gpu(mesh)
     det.assert_clean()
 
 A tracer is any object implementing :class:`TracerHooks` (the concrete
 one is :class:`repro.obs.Tracer`); it is installed with
-:func:`activate_tracer` / :func:`maybe_activate_tracer` and fed through
-the :func:`trace_span` / :func:`trace_launch` / :func:`trace_gauge`
+``TRACER.activate`` / ``TRACER.maybe_activate`` and fed through the
+:func:`trace_span` / :func:`trace_launch` / :func:`trace_gauge`
 convenience wrappers sprinkled through the device and core layers.
+A device-fault client implements :class:`FaultHooks` and is offered
+each failure surface through the ``fault_*`` wrappers.
 
 Kernels that perform raw vectorized gathers/stores outside the atomics
 API can annotate them with :func:`record_read` / :func:`record_write`
@@ -35,20 +38,59 @@ so the race detector's shadow memory sees them too.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 
 import numpy as np
 
 __all__ = [
-    "SanitizerHooks", "current_sanitizer", "activate", "maybe_activate",
-    "record_read", "record_write",
-    "TracerHooks", "current_tracer", "activate_tracer",
-    "maybe_activate_tracer", "suppress_tracer",
-    "trace_span", "trace_launch", "trace_gauge",
-    "FaultHooks", "current_faults", "activate_faults",
-    "maybe_activate_faults", "fault_malloc", "fault_chunk", "fault_pool",
-    "fault_kernel", "fault_transfer",
+    "DEVICE_FAULTS", "SANITIZER", "TRACER",
+    "FaultHooks", "HookSlot", "SanitizerHooks", "TracerHooks",
+    "fault_chunk", "fault_kernel", "fault_malloc", "fault_pool",
+    "fault_transfer", "record_read", "record_write", "trace_gauge",
+    "trace_launch", "trace_span",
 ]
+
+
+class HookSlot:
+    """One process-global slot holding the innermost active hook client.
+
+    ``current`` is the client (or ``None``); hot paths read it with one
+    attribute load.  :meth:`activate` installs a client for the dynamic
+    extent of a ``with`` block; activations nest, and the previous client
+    is restored when the block exits, normally or by raising.  The slot
+    is deliberately not thread- or context-local: every driver runs on
+    the thread that activated its clients.
+    """
+
+    __slots__ = ("current",)
+
+    def __init__(self) -> None:
+        self.current = None
+
+    @contextmanager
+    def activate(self, client):
+        """Install ``client`` for the ``with`` block; yields it."""
+        prev = self.current
+        self.current = client
+        try:
+            yield client
+        finally:
+            self.current = prev
+
+    def maybe_activate(self, client):
+        """Like :meth:`activate` but a no-op when ``client`` is ``None``.
+
+        This is the opt-in entry-point idiom: every algorithm driver
+        takes ``sanitizer=None`` / ``tracer=None`` keywords and wraps its
+        body in the matching slot's ``maybe_activate``.
+        """
+        if client is None:
+            return nullcontext()
+        return self.activate(client)
+
+    def suppress(self):
+        """Hide the active client for the ``with`` block, then restore it."""
+        return self.activate(None)
 
 
 class SanitizerHooks:
@@ -104,48 +146,14 @@ DeviceAllocator` extents for bounds / use-after-free checks;
         pass
 
 
-_current: SanitizerHooks | None = None
-
-
-def current_sanitizer() -> SanitizerHooks | None:
-    """The innermost active sanitizer, or ``None``."""
-    return _current
-
-
-@contextmanager
-def activate(sanitizer: SanitizerHooks):
-    """Install ``sanitizer`` for the dynamic extent of the ``with`` block.
-
-    Activations nest; the innermost sanitizer receives the events (an
-    outer one is restored when the inner scope exits).
-    """
-    global _current
-    prev = _current
-    _current = sanitizer
-    try:
-        yield sanitizer
-    finally:
-        _current = prev
-
-
-@contextmanager
-def maybe_activate(sanitizer: SanitizerHooks | None):
-    """Like :func:`activate` but a no-op when ``sanitizer`` is ``None``.
-
-    This is the opt-in entry-point idiom: every algorithm driver takes a
-    ``sanitizer=None`` keyword and wraps its body in ``maybe_activate``.
-    """
-    if sanitizer is None:
-        yield None
-        return
-    with activate(sanitizer):
-        yield sanitizer
+#: the innermost active :class:`SanitizerHooks` client
+SANITIZER = HookSlot()
 
 
 def record_read(arr: np.ndarray, idx, *, tids=None,
                 intent: str = "load") -> None:
     """Annotate a raw vectorized gather for the active sanitizer."""
-    san = _current
+    san = SANITIZER.current
     if san is not None:
         san.on_read(arr, idx, tids=tids, intent=intent)
 
@@ -153,7 +161,7 @@ def record_read(arr: np.ndarray, idx, *, tids=None,
 def record_write(arr: np.ndarray, idx, *, tids=None, kind: str = "plain",
                  intent: str = "store") -> None:
     """Annotate a raw vectorized store for the active sanitizer."""
-    san = _current
+    san = SANITIZER.current
     if san is not None:
         san.on_write(arr, idx, tids=tids, kind=kind, intent=intent)
 
@@ -206,67 +214,14 @@ class TracerHooks:
         pass
 
 
-_current_tracer: TracerHooks | None = None
-
-
-def current_tracer() -> TracerHooks | None:
-    """The innermost active tracer, or ``None``."""
-    return _current_tracer
-
-
-@contextmanager
-def activate_tracer(tracer: TracerHooks):
-    """Install ``tracer`` for the dynamic extent of the ``with`` block.
-
-    Activations nest; the innermost tracer receives the events (an
-    outer one is restored when the inner scope exits).
-    """
-    global _current_tracer
-    prev = _current_tracer
-    _current_tracer = tracer
-    try:
-        yield tracer
-    finally:
-        _current_tracer = prev
-
-
-@contextmanager
-def maybe_activate_tracer(tracer: TracerHooks | None):
-    """Like :func:`activate_tracer` but a no-op when ``tracer`` is ``None``.
-
-    This is the opt-in entry-point idiom: every algorithm driver takes a
-    ``tracer=None`` keyword and wraps its body in
-    ``maybe_activate_tracer``, mirroring ``sanitizer=``.
-    """
-    if tracer is None:
-        yield None
-        return
-    with activate_tracer(tracer):
-        yield tracer
-
-
-@contextmanager
-def suppress_tracer():
-    """Temporarily deactivate the tracer for the ``with`` block.
-
-    Used by subsystems that report their own finer-grained (per-phase)
-    priced events and then also feed an :class:`~repro.core.counters.\
-OpCounter` — whose launch hook would otherwise price the same work a
-    second time.
-    """
-    global _current_tracer
-    prev = _current_tracer
-    _current_tracer = None
-    try:
-        yield
-    finally:
-        _current_tracer = prev
+#: the innermost active :class:`TracerHooks` client
+TRACER = HookSlot()
 
 
 @contextmanager
 def trace_span(name: str, cat: str = "span", **args):
     """Open a tracer span for the ``with`` block (no-op when inactive)."""
-    tr = _current_tracer
+    tr = TRACER.current
     if tr is None:
         yield None
         return
@@ -279,14 +234,14 @@ def trace_span(name: str, cat: str = "span", **args):
 
 def trace_launch(name: str, **counts) -> None:
     """Report a completed launch/phase to the active tracer, if any."""
-    tr = _current_tracer
+    tr = TRACER.current
     if tr is not None:
         tr.on_launch(name, **counts)
 
 
 def trace_gauge(name: str, value: float) -> None:
     """Sample a gauge on the active tracer, if any."""
-    tr = _current_tracer
+    tr = TRACER.current
     if tr is not None:
         tr.on_gauge(name, value)
 
@@ -339,71 +294,40 @@ RecyclePoolExhausted`;
         pass
 
 
-_current_faults: FaultHooks | None = None
-
-
-def current_faults() -> FaultHooks | None:
-    """The innermost active fault client, or ``None``."""
-    return _current_faults
-
-
-@contextmanager
-def activate_faults(faults: FaultHooks):
-    """Install ``faults`` for the dynamic extent of the ``with`` block.
-
-    Activations nest; the innermost client receives the events (an
-    outer one is restored when the inner scope exits).
-    """
-    global _current_faults
-    prev = _current_faults
-    _current_faults = faults
-    try:
-        yield faults
-    finally:
-        _current_faults = prev
-
-
-@contextmanager
-def maybe_activate_faults(faults: FaultHooks | None):
-    """Like :func:`activate_faults` but a no-op when ``faults`` is
-    ``None`` — the opt-in idiom mirroring ``sanitizer=``/``tracer=``."""
-    if faults is None:
-        yield None
-        return
-    with activate_faults(faults):
-        yield faults
+#: the innermost active :class:`FaultHooks` client
+DEVICE_FAULTS = HookSlot()
 
 
 def fault_malloc(nbytes: int) -> None:
     """Offer an allocation of ``nbytes`` to the active fault client."""
-    fc = _current_faults
+    fc = DEVICE_FAULTS.current
     if fc is not None:
         fc.on_malloc(nbytes)
 
 
 def fault_chunk() -> None:
     """Offer a chunk-pool allocation to the active fault client."""
-    fc = _current_faults
+    fc = DEVICE_FAULTS.current
     if fc is not None:
         fc.on_chunk_alloc()
 
 
 def fault_pool(n: int) -> None:
     """Offer a recycle-pool release of ``n`` slots to the fault client."""
-    fc = _current_faults
+    fc = DEVICE_FAULTS.current
     if fc is not None:
         fc.on_pool_release(n)
 
 
 def fault_kernel(name: str) -> None:
     """Offer a named kernel launch to the active fault client."""
-    fc = _current_faults
+    fc = DEVICE_FAULTS.current
     if fc is not None:
         fc.on_kernel_launch(name)
 
 
 def fault_transfer(words: int) -> None:
     """Offer a host<->device transfer to the active fault client."""
-    fc = _current_faults
+    fc = DEVICE_FAULTS.current
     if fc is not None:
         fc.on_transfer(words)

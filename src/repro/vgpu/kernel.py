@@ -26,8 +26,7 @@ import numpy as np
 from ..core.counters import OpCounter
 from ..errors import MaxRoundsExceeded
 from .device import GpuSpec, LaunchConfig, TESLA_C2070
-from .instrument import (current_sanitizer, current_tracer, fault_kernel,
-                         trace_span)
+from .instrument import SANITIZER, TRACER, fault_kernel, trace_span
 
 __all__ = ["KernelLauncher", "spmd_launch"]
 
@@ -53,7 +52,7 @@ class KernelLauncher:
         # Record geometry so the cost model can price barriers correctly.
         counter.scalars.setdefault("cfg_blocks", config.blocks)
         counter.scalars.setdefault("cfg_tpb", config.threads_per_block)
-        tr = current_tracer()
+        tr = TRACER.current
         if tr is not None:
             tr.on_geometry(config.blocks, config.threads_per_block)
 
@@ -123,7 +122,7 @@ def spmd_launch(
     """
     rng = rng or np.random.default_rng()  # sta: ignore[STA204] caller-controlled test fallback
     fault_kernel(name)
-    san = current_sanitizer()
+    san = SANITIZER.current
     if not inspect.isgeneratorfunction(thread_fn):
         if san is not None:
             san.on_kernel_begin(name, threads=n_threads)

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import RecyclePoolExhausted
-from .instrument import current_sanitizer, fault_chunk, fault_malloc, fault_pool
+from .instrument import SANITIZER, fault_chunk, fault_malloc, fault_pool
 
 __all__ = ["DeviceAllocator", "ChunkList", "ChunkAllocator", "RecyclePool"]
 
@@ -61,7 +61,7 @@ class DeviceAllocator:
         self.mallocs += 1
         self.bytes_in_use += arr.nbytes
         self.high_water = max(self.high_water, self.bytes_in_use)
-        san = current_sanitizer()
+        san = SANITIZER.current
         if san is not None:
             san.on_alloc(arr)
         return arr
@@ -70,7 +70,7 @@ class DeviceAllocator:
         """Release a device array (``cudaFree``)."""
         self.frees += 1
         self.bytes_in_use -= arr.nbytes
-        san = current_sanitizer()
+        san = SANITIZER.current
         if san is not None:
             san.on_free(arr)
 

@@ -8,13 +8,13 @@ from hypothesis import given, settings, strategies as st
 from repro.core import (AdaptiveConfig, CentralWorklist, ExplicitDeletion,
                         FeedbackAdaptiveConfig, FixedConfig, HostOnly,
                         KernelHost, KernelOnly, LocalWorklists,
-                        MarkingDeletion, OutOfDeviceMemory,
-                        PreAllocation, RecycleDeletion,
+                        MarkingDeletion, PreAllocation, RecycleDeletion,
                         bfs_permutation, divergence_gain, greedy_mis,
                         invert_permutation, layout_quality, partition_active,
                         profile_parallelism, swap_scan_permutation,
                         warp_efficiency)
 from repro.core.csr import edges_to_csr
+from repro.errors import OutOfDeviceMemory
 from repro.vgpu.device import LaunchConfig
 
 

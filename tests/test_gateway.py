@@ -5,9 +5,9 @@ Two layers, matching how the subsystem runs in CI:
 * **Logic tests** (tier-1, no processes): consistent-hash ring
   determinism and placement stability, admission-control quota paths
   and ledger transitions, event-bus semantics, scheduler policy
-  validation, executor injection into :func:`repro.serve.pool
-  .submit_batch`, and the multi-tenant checkpoint-spool isolation the
-  warm workers rely on (no cross-prune, no cross-resume).
+  validation, the inline :func:`repro.serve.pool.submit_batch` path,
+  and the multi-tenant checkpoint-spool isolation the warm workers rely
+  on (no cross-prune, no cross-resume).
 
 * **Pool tests** (``--gateway``, spawn real warm workers): end-to-end
   digest identity against the inline ``workers=0`` path over both the
@@ -23,7 +23,6 @@ import http.client
 import json
 import subprocess
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -238,7 +237,7 @@ class TestEventBus:
 
 
 # --------------------------------------------------------------------- #
-# Satellites: scheduler validation + executor injection
+# Satellites: scheduler validation + the inline submit path
 # --------------------------------------------------------------------- #
 
 class TestSchedulerPolicy:
@@ -260,27 +259,11 @@ class TestSchedulerPolicy:
 
 
 class TestExecutorInjection:
-    def test_injected_executor_reused_and_not_shut_down(self):
-        specs = JOB_SPECS[:2]
-        inline = [run_job(s).result.digest for s in specs]
-        with ProcessPoolExecutor(max_workers=2) as pool:
-            first = submit_batch(specs, executor=pool)
-            second = submit_batch(specs, executor=pool)  # same workers
-            assert [r.result.digest for r in first] == inline
-            assert [r.result.digest for r in second] == inline
-            # submit_batch must not have shut the injected pool down
-            assert pool.submit(max, 1, 2).result() == 2
-
-    def test_scheduler_passes_executor_through(self):
-        inline = [run_job(s).result.digest for s in JOB_SPECS]
-        with ProcessPoolExecutor(max_workers=2) as pool:
-            sched = Scheduler(policy="fifo", executor=pool)
-            report = sched.run_batch(JOB_SPECS)
-            assert report.ok
-            assert [r.result.digest for r in report.records] == inline
+    """``submit_batch`` takes no injected executor: ``workers=0`` runs
+    inline, ``workers>=1`` a fresh process pool."""
 
     def test_workers_zero_stays_inline(self):
-        # No executor, workers=0: byte-identical inline path, unchanged.
+        # workers=0: the byte-identical inline path, no process pool.
         records = submit_batch(JOB_SPECS, workers=0)
         assert [r.result.digest for r in records] == \
             [run_job(s).result.digest for s in JOB_SPECS]

@@ -13,7 +13,8 @@ import pytest
 from repro.obs import (BENCH_SCHEMA, Tracer, TraceSchemaError, chrome_trace,
                        metrics_dict, read_bench, validate_chrome_trace,
                        write_bench, write_chrome_trace)
-from repro.vgpu.instrument import (current_tracer, suppress_tracer,
+from repro.serve.faults import DISK_FAULTS, JOB_FAULTS
+from repro.vgpu.instrument import (DEVICE_FAULTS, SANITIZER, TRACER,
                                    trace_gauge, trace_launch, trace_span)
 
 
@@ -108,11 +109,11 @@ def test_metrics_dict_contents():
 
 
 # --------------------------------------------------------------------- #
-# Hook-registry behaviour
+# Hook-slot behaviour
 # --------------------------------------------------------------------- #
 
 def test_module_hooks_are_noops_when_inactive():
-    assert current_tracer() is None
+    assert TRACER.current is None
     trace_launch("k", items=4)          # must not raise
     trace_gauge("g", 1)
     with trace_span("s", cat="driver") as s:
@@ -122,13 +123,40 @@ def test_module_hooks_are_noops_when_inactive():
 def test_activate_and_suppress():
     tr = Tracer()
     with tr.activate():
-        assert current_tracer() is tr
-        with suppress_tracer():
-            assert current_tracer() is None
+        assert TRACER.current is tr
+        with TRACER.suppress():
+            assert TRACER.current is None
             trace_launch("hidden", items=4)
-        assert current_tracer() is tr
-    assert current_tracer() is None
+        assert TRACER.current is tr
+    assert TRACER.current is None
     assert "hidden" not in tr.launch_totals
+
+
+@pytest.mark.parametrize(
+    "slot", [SANITIZER, TRACER, DEVICE_FAULTS, JOB_FAULTS, DISK_FAULTS],
+    ids=["sanitizer", "tracer", "device_faults", "job_faults",
+         "disk_faults"])
+def test_hook_slot_contract(slot):
+    outer, inner = object(), object()
+    assert slot.current is None
+    with slot.maybe_activate(None) as got:
+        assert got is None and slot.current is None
+    with slot.activate(outer) as got:
+        assert got is outer and slot.current is outer
+        with slot.maybe_activate(None):
+            assert slot.current is outer
+        with slot.maybe_activate(inner):
+            assert slot.current is inner
+        assert slot.current is outer
+        with pytest.raises(RuntimeError, match="boom"):
+            with slot.activate(inner):
+                assert slot.current is inner
+                raise RuntimeError("boom")
+        assert slot.current is outer
+        with slot.suppress():
+            assert slot.current is None
+        assert slot.current is outer
+    assert slot.current is None
 
 
 # --------------------------------------------------------------------- #

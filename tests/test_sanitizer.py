@@ -12,12 +12,14 @@ import numpy as np
 import pytest
 
 from repro.analysis import (BARRIER_DIVERGENCE, DOUBLE_FREE, OUT_OF_BOUNDS,
-                            RaceDetector, READ_WRITE, USE_AFTER_FREE,
-                            WRITE_WRITE, lint_paths, lint_source)
+                            READ_WRITE, USE_AFTER_FREE, WRITE_WRITE,
+                            RaceDetector)
+from repro.analysis.static import (ModuleModel, Program, analyze_paths,
+                                   run_rules)
 from repro.core.conflict import three_phase_mark, two_phase_mark
 from repro.core.ragged import Ragged
 from repro.vgpu.atomics import atomic_add, scatter_write
-from repro.vgpu.instrument import current_sanitizer, record_read
+from repro.vgpu.instrument import SANITIZER, record_read
 from repro.vgpu.kernel import spmd_launch
 from repro.vgpu.memory import DeviceAllocator
 
@@ -261,10 +263,10 @@ class TestBarrierDivergence:
 class TestDetectorMechanics:
     def test_activation_is_scoped(self):
         det = RaceDetector()
-        assert current_sanitizer() is None
+        assert SANITIZER.current is None
         with det.activate():
-            assert current_sanitizer() is det
-        assert current_sanitizer() is None
+            assert SANITIZER.current is det
+        assert SANITIZER.current is None
 
     def test_watch_labels_reports(self):
         det = RaceDetector()
@@ -291,7 +293,7 @@ class TestDetectorMechanics:
         dest = np.zeros(4, dtype=np.int64)
         scatter_write(dest, np.array([1, 1]), np.array([5, 6]),
                       np.random.default_rng(0))
-        assert current_sanitizer() is None
+        assert SANITIZER.current is None
 
 
 # --------------------------------------------------------------------- #
@@ -391,6 +393,16 @@ class TestDriversClean:
 # --------------------------------------------------------------------- #
 # static lint pass                                                      #
 # --------------------------------------------------------------------- #
+#: the kernel lint rules of :mod:`repro.analysis.static`
+KRN_CODES = ("KRN101", "KRN102", "KRN103", "KRN104")
+
+
+def lint_source(src: str) -> list:
+    """Run the KRN rules over one module's source text."""
+    return run_rules(Program(modules=[ModuleModel("x.py", src)]),
+                     codes=KRN_CODES)
+
+
 class TestLint:
     def test_raw_store_in_launch_block(self):
         src = (
@@ -399,7 +411,7 @@ class TestLint:
             "        dest[idx] = val\n"
             "        rec(writes=4)\n"
         )
-        findings = lint_source(src, "x.py")
+        findings = lint_source(src)
         assert [f.code for f in findings] == ["KRN101"]
         assert findings[0].line == 3
 
@@ -411,7 +423,7 @@ class TestLint:
             "        dest[:] = 2\n"
             "        rec(writes=2)\n"
         )
-        assert lint_source(src, "x.py") == []
+        assert lint_source(src) == []
 
     def test_host_thread_loop_in_launch_block(self):
         src = (
@@ -421,7 +433,7 @@ class TestLint:
             "            pass\n"
             "        rec(writes=8)\n"
         )
-        codes = [f.code for f in lint_source(src, "x.py")]
+        codes = [f.code for f in lint_source(src)]
         assert "KRN102" in codes
 
     def test_missing_op_accounting(self):
@@ -430,7 +442,7 @@ class TestLint:
             "    with ctr.launch('k', items=4) as rec:\n"
             "        pass\n"
         )
-        codes = [f.code for f in lint_source(src, "x.py")]
+        codes = [f.code for f in lint_source(src)]
         assert "KRN103" in codes
 
     def test_bare_except(self):
@@ -440,7 +452,7 @@ class TestLint:
             "except:\n"
             "    pass\n"
         )
-        codes = [f.code for f in lint_source(src, "x.py")]
+        codes = [f.code for f in lint_source(src)]
         assert codes == ["KRN104"]
 
     def test_clean_kernel_passes(self):
@@ -451,9 +463,11 @@ class TestLint:
             "        scatter_write(dest, idx, val, rng)\n"
             "        rec(writes=4)\n"
         )
-        assert lint_source(src, "x.py") == []
+        assert lint_source(src) == []
 
     def test_repo_source_tree_is_lint_clean(self):
-        findings, files = lint_paths(["src/repro"])
-        assert files > 50
+        program = analyze_paths(["src/repro"])
+        assert len(program.modules) > 50
+        assert program.syntax_errors == []
+        findings = run_rules(program, codes=KRN_CODES)
         assert findings == [], "\n".join(str(f) for f in findings)

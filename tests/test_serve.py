@@ -10,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.counters import OpCounter
 from repro.core.engine import EngineCheckpoint, MorphStats
-from repro.serve import (CheckpointStore, FaultInjected, FaultInjector,
-                         FaultPlan, JobContext, JobSpec, Scheduler,
+from repro.serve import (DISK_KINDS, CheckpointStore, FaultInjected,
+                         FaultInjector, FaultPlan, JobSpec, Scheduler,
                          dumps_state, estimate_cost, get_adapter,
                          known_algorithms, loads_state, order_jobs, run_job,
                          submit_batch)
@@ -93,6 +93,25 @@ class TestFaults:
                        fault=FaultPlan(kind="kill", attempts=(1, 2)))
         rec = run_job(spec)
         assert not rec.ok and rec.attempts == 2 and len(rec.failures) == 2
+
+    @pytest.mark.parametrize("kind", DISK_KINDS)
+    def test_disk_kind_fires_at_the_spool_not_at_job_start(self, kind,
+                                                           tmp_path):
+        def plan(path):
+            return FaultPlan(kind=kind, attempts=(1,), at_event=(1,),
+                             path=path)
+
+        rec = run_job(_engine_spec(fault=plan(".ckpt")),
+                      checkpoint_dir=str(tmp_path / "hit"))
+        clean = run_job(_engine_spec(name="clean"))
+        assert rec.ok and rec.attempts == 2 and len(rec.failures) == 1
+        assert ".ckpt" in rec.failures[0]
+        assert "injected kill" not in rec.failures[0]
+        assert rec.result.digest == clean.result.digest
+
+        miss = run_job(_engine_spec(fault=plan("no-such-file")),
+                       checkpoint_dir=str(tmp_path / "miss"))
+        assert miss.ok and miss.attempts == 1 and miss.failures == []
 
 
 class TestCheckpointStore:
@@ -269,10 +288,9 @@ class TestCLI:
         out = tmp_path / "report.json"
         rc = serve_main([str(jobfile), "--workers", "0", "--policy", "sjf",
                          "--checkpoint-dir", str(tmp_path / "ckpt"),
-                         "--streams", "2", "--out", str(out)])
+                         "--out", str(out)])
         assert rc == 0
-        stdout = capsys.readouterr().out
-        assert "virtual streams (2)" in stdout
+        capsys.readouterr()
         data = json.loads(out.read_text())
         assert data["ok"] and len(data["jobs"]) == 2
         flaky = next(j for j in data["jobs"] if j["name"] == "flaky")

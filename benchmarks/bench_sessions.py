@@ -16,12 +16,20 @@ Every measured session is also verified against a cold full recompute
 on the equivalently mutated input — a timing for a wrong answer would
 be worse than no timing.
 
+Each row also records host wall time beside the modeled cost: the cold
+``Session.open`` (timed after one warm-up session per algorithm, so
+imports and lazy set-up stay out of it), the mean ``apply_batch``, and
+their ratio.  Wall time is recorded, never asserted: it depends on the
+host.
+
 Emits ``BENCH_sessions.json`` (schema ``repro.bench/1``): one row per
 (algorithm, seed) with the full-solve cost, mean delta cost, dirty
-fraction, and speedup.
+fraction, speedup, and the three wall-time fields.
 """
 
 from __future__ import annotations
+
+import time
 
 from harness import SCALE, emit, emit_bench, fmt_time, table
 
@@ -51,14 +59,22 @@ def _configs():
 def test_session_delta_cost_benchmark():
     rows, bench_rows = [], []
     for algorithm, params, batch in _configs():
-        for seed in SEEDS:
-            spec = SessionSpec(
-                name=f"{algorithm}-bench-{seed}", algorithm=algorithm,
-                params=params, strategy={}, seed=seed,
-                batches=[batch] * BATCHES_PER_SESSION)
+        specs = [SessionSpec(name=f"{algorithm}-bench-{seed}",
+                             algorithm=algorithm, params=params,
+                             strategy={}, seed=seed,
+                             batches=[batch] * BATCHES_PER_SESSION)
+                 for seed in SEEDS]
+        Session.open(specs[0])   # warm-up, untimed
+        for seed, spec in zip(SEEDS, specs):
+            start = time.perf_counter()
             session = Session.open(spec)
+            full_wall = time.perf_counter() - start
             full_cost = session.full_cost_s
-            results = [session.apply_batch(ops) for ops in spec.batches]
+            results, apply_walls = [], []
+            for ops in spec.batches:
+                start = time.perf_counter()
+                results.append(session.apply_batch(ops))
+                apply_walls.append(time.perf_counter() - start)
 
             matches, cold = session.verify_full()
             assert matches, (
@@ -73,6 +89,8 @@ def test_session_delta_cost_benchmark():
             mutated_frac = (sum(op.get("count", 0) for op in batch)
                             / max(1, results[-1].population))
             speedup = full_cost / delta_cost if delta_cost > 0 else float("inf")
+            delta_wall = sum(apply_walls) / len(apply_walls)
+            wall_ratio = delta_wall / full_wall
             if SCALE == 1 and mutated_frac <= 0.01:
                 assert speedup >= 5.0, (
                     f"{algorithm} seed={seed}: small-delta speedup "
@@ -83,7 +101,9 @@ def test_session_delta_cost_benchmark():
                          str(results[-1].population),
                          f"{mutated_frac:.4f}", f"{dirty_frac:.3f}",
                          fmt_time(full_cost), fmt_time(delta_cost),
-                         f"{speedup:.1f}x"])
+                         f"{speedup:.1f}x", fmt_time(full_wall),
+                         fmt_time(delta_wall),
+                         f"{wall_ratio:.2f}"])
             bench_rows.append({
                 "algorithm": algorithm, "seed": seed,
                 "population": results[-1].population,
@@ -92,10 +112,14 @@ def test_session_delta_cost_benchmark():
                 "full_cost_s": round(full_cost, 9),
                 "delta_cost_s": round(delta_cost, 9),
                 "speedup": round(speedup, 3),
+                "full_wall_s": round(full_wall, 6),
+                "delta_wall_s": round(delta_wall, 6),
+                "wall_ratio": round(wall_ratio, 3),
             })
 
     text = table(["algo", "seed", "population", "mutated", "dirty",
-                  "full solve", "delta batch", "speedup"], rows)
+                  "full solve", "delta batch", "speedup", "full wall",
+                  "delta wall", "wall ratio"], rows)
     emit("sessions", text)
     emit_bench("sessions", bench_rows)
 

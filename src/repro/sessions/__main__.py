@@ -40,6 +40,13 @@ def _load_specs(path: str) -> list[SessionSpec]:
         doc = doc["sessions"]
     if isinstance(doc, dict):
         doc = [doc]
+    if not isinstance(doc, list):
+        raise ValueError(f"top level is {type(doc).__name__}, expected "
+                         "an object or a list of session specs")
+    for d in doc:
+        if not isinstance(d, dict):
+            raise ValueError(f"session spec is {type(d).__name__}, "
+                             "expected an object")
     return [SessionSpec.from_dict(d) for d in doc]
 
 

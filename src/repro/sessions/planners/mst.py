@@ -23,15 +23,24 @@ compacted order-preservingly) — so the cycle rule evicts ``e``.
 The delta solve is filter-then-finish: one ``O(|E|)`` cut-filter
 kernel marks the candidates, then a sort + hook-and-link pass (the
 standard GPU union-find idiom, priced at log-depth barriers) finishes
-the forest over just the candidate sublist.  Because the edge key
-``(weight << 31) | id`` is a *total* order, the MST is unique, and any
-correct algorithm over a candidate superset — the cold Boruvka
-contraction included — must select the same edge ids.  The finish
-sorts by exactly that key (weight, then id; ids keep their relative
-order under compaction), so the session's answer is byte-identical to
-a cold full contraction at ``O(|E| + |cand| log |cand|)`` instead of
-``O(rounds x (|V| + |E|))`` — the whole delta win when the candidate
-set is near ``|V|`` and the full solve is many rounds over ``|E|``.
+the forest over just the candidate sublist.  That priced model is what
+the session's modeled cost reports.  On the host, both the T\\* forest
+labels and the finish run as the paper's §6.5 component-based Boruvka
+rounds in numpy (:func:`_boruvka_rounds`): per-component minimum edge
+key, a 2-cycle break toward the smaller id, a hook, then pointer
+jumping.  The host routine is unpriced; it never touches the counter
+or the tracer.
+
+The result is byte-identical to a cold full contraction.  The edge key
+``(weight << 31) | id`` is a *total* order, so the MST is unique and
+any correct algorithm over a candidate superset — the cold Boruvka
+contraction included — must select the same edge ids.  The finish keys
+each candidate by ``(weight << 31) | position`` in the ascending
+candidate list, which orders exactly as the cold key (weight, then
+id; ids keep their relative order under compaction).  The priced cost
+is ``O(|E| + |cand| log |cand|)`` instead of ``O(rounds x (|V| +
+|E|))`` — the whole delta win when the candidate set is near ``|V|``
+and the full solve is many rounds over ``|E|``.
 """
 
 from __future__ import annotations
@@ -46,28 +55,67 @@ from . import BatchOutcome
 __all__ = ["MstPlanner", "forest_components"]
 
 
+_POS_BITS = 31
+_NO_EDGE = np.iinfo(np.int64).max
+
+
+def _boruvka_rounds(num_nodes: int, u: np.ndarray, v: np.ndarray,
+                    w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Minimum spanning forest of the edges ``(u[i], v[i], w[i])``.
+
+    Host-side, unpriced §6.5 Boruvka rounds keyed by ``(w << 31) | i``:
+    each component takes its minimum-key crossing edge
+    (``np.minimum.at``), a mutual pick (the only cycle unique keys
+    allow) keeps the smaller component id as the root, every other
+    picking component hooks onto its partner, and pointer jumping
+    flattens the hooks.  Edges that stop crossing drop out for good.
+
+    Returns the chosen positions ``i`` in ascending order and each
+    node's final component label.
+    """
+    comp = np.arange(num_nodes, dtype=np.int64)
+    key = (np.asarray(w, dtype=np.int64) << _POS_BITS) \
+        | np.arange(u.size, dtype=np.int64)
+    live = np.arange(u.size, dtype=np.int64)
+    chosen = []
+    while True:
+        cu, cv = comp[u[live]], comp[v[live]]
+        crossing = cu != cv
+        if not crossing.any():
+            break
+        live, cu, cv = live[crossing], cu[crossing], cv[crossing]
+        best = np.full(num_nodes, _NO_EDGE, dtype=np.int64)
+        np.minimum.at(best, cu, key[live])
+        np.minimum.at(best, cv, key[live])
+        roots = np.flatnonzero(best != _NO_EDGE)
+        pick = best[roots] & ((1 << _POS_BITS) - 1)
+        pu = comp[u[pick]]
+        partner = np.where(pu == roots, comp[v[pick]], pu)
+        hook = np.arange(num_nodes, dtype=np.int64)
+        hook[roots] = partner
+        stays = (hook[partner] == roots) & (roots < partner)
+        hook[roots[stays]] = roots[stays]
+        chosen.append(pick[~stays])
+        while True:
+            jumped = hook[hook]
+            if np.array_equal(jumped, hook):
+                break
+            hook = jumped
+        comp = hook[comp]
+    picked = (np.sort(np.concatenate(chosen)) if chosen
+              else np.zeros(0, dtype=np.int64))
+    return picked, comp
+
+
 def forest_components(num_nodes: int, u: np.ndarray,
                       v: np.ndarray) -> np.ndarray:
     """Component label per node for the forest with edges ``(u, v)``.
 
-    Host-side union-find with path compression; labels are each
-    component's final root, which is all the cut filter needs.
+    :func:`_boruvka_rounds` over the forest with all-zero weights; the
+    labels are component roots, and the cut filter only compares them.
     """
-    parent = np.arange(num_nodes, dtype=np.int64)
-
-    def find(x: int) -> int:
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    for a, b in zip(u.tolist(), v.tolist()):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-    return np.array([find(i) for i in range(num_nodes)], dtype=np.int64)
+    return _boruvka_rounds(num_nodes, u, v,
+                           np.zeros(u.size, dtype=np.int64))[1]
 
 
 class MstPlanner:
@@ -121,42 +169,31 @@ class MstPlanner:
                         "mst_edges": int(self.mst.size)}
 
     def _sparse_finish(self, cand: np.ndarray, counter) -> np.ndarray:
-        """MST edge ids of the candidate sublist, by key order.
+        """MST edge ids of the ascending candidate sublist.
 
-        Sort by the cold solver's exact total key (weight, then edge
-        id), then hook-and-link a union-find over the sorted list.
-        The candidate set is near ``|V|`` — small enough for the
-        single-cooperative-block finish idiom, where the sort's
+        Priced as a sort by the cold solver's exact total key (weight,
+        then edge id) followed by a hook-and-link union-find over the
+        sorted list.  The candidate set is near ``|V|`` — small enough
+        for the single-cooperative-block finish idiom, where the sort's
         log-depth exchanges and the link's pointer chases synchronize
         with intra-block syncs; only the kernel boundaries are priced
         as global barriers, which is exactly why the delta pass beats
         a multi-round global-barrier contraction.
+
+        The host computes the same forest with :func:`_boruvka_rounds`
+        keyed by candidate position: ``cand`` is ascending, so position
+        order is id order and the unique forest is the one the priced
+        sort + link would select.
         """
         k = int(cand.size)
         counter.launch("sessions.mst.sort", items=k, word_reads=2 * k,
                        word_writes=k, barriers=1)
-        order = np.lexsort((cand, self.w[cand]))
-        parent = np.arange(self.n, dtype=np.int64)
-
-        def find(x: int) -> int:
-            root = x
-            while parent[root] != root:
-                root = parent[root]
-            while parent[x] != root:
-                parent[x], x = root, parent[x]
-            return root
-
-        chosen = []
-        lo, hi = self.lo, self.hi
-        for e in cand[order].tolist():
-            ra, rb = find(int(lo[e])), find(int(hi[e]))
-            if ra != rb:
-                parent[ra] = rb
-                chosen.append(e)
+        picked, _ = _boruvka_rounds(self.n, self.lo[cand], self.hi[cand],
+                                    self.w[cand])
         counter.launch("sessions.mst.link", items=k,
                        word_reads=4 * k,
-                       word_writes=len(chosen) + self.n, barriers=1)
-        return np.array(sorted(chosen), dtype=np.int64)
+                       word_writes=int(picked.size) + self.n, barriers=1)
+        return cand[picked]
 
     def apply_batch(self, ops, counter, threshold: float,
                     resilience=None) -> BatchOutcome:
@@ -177,10 +214,11 @@ class MstPlanner:
                   else np.zeros(0, dtype=np.int64))
         survivors = mapped[mapped >= 0]
         t_star = survivors[~eff.changed[survivors]]
-        delta = np.flatnonzero(eff.changed)
         comp = forest_components(self.n, self.lo[t_star], self.hi[t_star])
-        cross = np.flatnonzero(comp[self.lo] != comp[self.hi])
-        cand = np.unique(np.concatenate([t_star, delta, cross]))
+        # T* ∪ Δ ∪ Cross as a mask, so ``cand`` comes out ascending.
+        in_cand = (comp[self.lo] != comp[self.hi]) | eff.changed
+        in_cand[t_star] = True
+        cand = np.flatnonzero(in_cand)
         dirty = int(cand.size)
 
         outcome = BatchOutcome(mode="delta", dirty=dirty, population=m)

@@ -8,23 +8,30 @@ gate drives that check across every algorithm with a planner, ≥3 seeds
 and ≥3 batches each, plus the surrounding machinery: the
 threshold escape hatch, empty-batch no-ops, checkpoint/resume (inline
 and kill-resume through the pool), the serve integration, the
-mutation-log compaction guard, observability gauges, and the
-delta-vs-full modeled-cost win on MST and PTA.
+mutation-log compaction guard, observability gauges, the
+delta-vs-full modeled-cost win on MST and PTA, the MST planner's host
+finish against Kruskal, a 30-batch MST stream, and the CLI exit codes.
 """
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from repro.core.counters import OpCounter
 from repro.core.engine import EngineCheckpoint
 from repro.errors import SessionStateError
+from repro.mst import kruskal
 from repro.obs import Tracer
 from repro.serve import CheckpointStore, Scheduler
 from repro.serve.jobs import JobSpec, estimate_cost
 from repro.sessions import (DEFAULT_FULL_THRESHOLD, MutationLog, Session,
                             SessionSpec, planned_algorithms, planner_for)
-from repro.sessions.planners.mst import forest_components
+from repro.sessions.__main__ import main as sessions_cli
+from repro.sessions.planners.mst import MstPlanner, forest_components
 
 pytestmark = pytest.mark.session
 
@@ -153,6 +160,97 @@ def test_mst_forest_components_labels():
     assert comp[0] == comp[1] == comp[2]
     assert comp[3] == comp[4]
     assert comp[0] != comp[3] and comp[5] not in (comp[0], comp[3])
+
+
+def _union_find_labels(num_nodes, u, v):
+    """Reference: the per-edge Python union-find ``forest_components``
+    ran before the vectorized Boruvka rounds replaced it."""
+    parent = np.arange(num_nodes, dtype=np.int64)
+
+    def find(x):
+        root = x
+        while parent[root] != root:
+            root = parent[root]
+        while parent[x] != root:
+            parent[x], x = root, parent[x]
+        return root
+
+    for a, b in zip(u.tolist(), v.tolist()):
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+    return np.array([find(i) for i in range(num_nodes)], dtype=np.int64)
+
+
+def _partition(labels):
+    """Each node's smallest same-label node: equal iff same partition."""
+    first = {}
+    return [first.setdefault(int(lab), i) for i, lab in enumerate(labels)]
+
+
+_NO_EDGES = np.zeros(0, dtype=np.int64)
+
+
+@st.composite
+def _edge_lists(draw):
+    """Small multigraphs: isolated nodes, disconnected pieces, the empty
+    list, and weights from a tiny range so ties must break by id."""
+    n = draw(st.integers(1, 16))
+    edges = draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                    st.integers(0, n - 1),
+                                    st.integers(1, 3)), max_size=40))
+    cols = np.array(edges, dtype=np.int64).reshape(-1, 3).T
+    keep = np.array(draw(st.lists(st.booleans(), min_size=len(edges),
+                                  max_size=len(edges))), dtype=bool)
+    return n, cols[0], cols[1], cols[2], keep
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_edge_lists())
+@example((1, _NO_EDGES, _NO_EDGES, _NO_EDGES, np.zeros(0, dtype=bool)))
+@example((7, np.array([0, 0, 1, 4, 4]), np.array([1, 2, 2, 5, 5]),
+          np.array([2, 2, 2, 1, 1]), np.array([1, 0, 1, 1, 1], bool)))
+def test_mst_sparse_finish_matches_kruskal(graph):
+    """The delta finish picks Kruskal's forest, over the whole edge list
+    and over an ascending candidate sublist (positions keyed in place of
+    ids), ties broken by edge id."""
+    n, lo, hi, w, keep = graph
+    planner = MstPlanner({}, {}, seed=0)
+    planner.n, planner.lo, planner.hi, planner.w = n, lo, hi, w
+    everything = np.arange(lo.size, dtype=np.int64)
+    got = planner._sparse_finish(everything, OpCounter())
+    assert got.tolist() == kruskal(n, lo, hi, w).mst_edges.tolist()
+
+    cand = np.flatnonzero(keep)
+    want = cand[kruskal(n, lo[cand], hi[cand], w[cand]).mst_edges]
+    got = planner._sparse_finish(cand, OpCounter())
+    assert got.dtype == np.int64 and got.tolist() == want.tolist()
+
+    assert (_partition(forest_components(n, lo, hi))
+            == _partition(_union_find_labels(n, lo, hi)))
+
+
+#: The e2e gateway-sessions MST rotation (add 40 / reweight 40 / drop 20
+#: on 20 000 nodes / 80 000 edges), scaled down tenfold.
+LONG_ROTATION = (("add_edges", 4), ("reweight_edges", 4), ("drop_edges", 2))
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_mst_long_stream_stays_delta(seed):
+    """Thirty batches, so forest splits from drops and reweights compound
+    across batches: every one stays on the delta path and still matches
+    a cold recompute."""
+    batches = [[{"op": op, "count": count, "seed": 1000 * seed + k}]
+               for k, (op, count) in enumerate(LONG_ROTATION * 10, start=1)]
+    spec = _spec("mst", seed, params={"num_nodes": 2000, "num_edges": 8000},
+                 batches=batches)
+    session = Session.open(spec)
+    for k, ops in enumerate(spec.batches, start=1):
+        result = session.apply_batch(ops)
+        assert result.mode == "delta", (k, result.note)
+        if k % 10 == 0:
+            matches, cold = session.verify_full()
+            assert matches, f"batch {k}: {result.digest} != cold {cold}"
 
 
 # --------------------------------------------------------------------- #
@@ -323,6 +421,29 @@ def test_kill_resume_through_pool(tmp_path):
     assert record.attempts == 2
     assert record.resumed_round >= 1
     assert record.result.digest == clean.result.digest
+
+
+# --------------------------------------------------------------------- #
+# CLI
+# --------------------------------------------------------------------- #
+
+EXAMPLE_STREAM = (Path(__file__).resolve().parent.parent / "examples"
+                  / "session_stream.json")
+
+
+def test_cli_example_stream_verifies():
+    assert sessions_cli(["run", str(EXAMPLE_STREAM), "--verify-full"]) == 0
+
+
+@pytest.mark.parametrize("content", ['["x"]', "5", None],
+                         ids=["entry-not-object", "scalar", "missing"])
+def test_cli_unreadable_input_exits_2(tmp_path, capsys, content):
+    """Malformed input is a usage error (2), not a failed batch (1)."""
+    path = tmp_path / "sessions.json"
+    if content is not None:
+        path.write_text(content)
+    assert sessions_cli(["run", str(path)]) == 2
+    assert "error: cannot load" in capsys.readouterr().err
 
 
 # --------------------------------------------------------------------- #

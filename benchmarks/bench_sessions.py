@@ -20,11 +20,13 @@ Each row also records host wall time beside the modeled cost: the cold
 ``Session.open`` (timed after one warm-up session per algorithm, so
 imports and lazy set-up stay out of it), the mean ``apply_batch``, and
 their ratio.  Wall time is recorded, never asserted: it depends on the
-host.
+host.  So is ``checkpoint_bytes``, the pickled size of the session
+checkpoint after the last batch (what a serving worker writes per
+batch).
 
 Emits ``BENCH_sessions.json`` (schema ``repro.bench/1``): one row per
 (algorithm, seed) with the full-solve cost, mean delta cost, dirty
-fraction, speedup, and the three wall-time fields.
+fraction, speedup, the three wall-time fields, and the checkpoint size.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ import time
 
 from harness import SCALE, emit, emit_bench, fmt_time, table
 
+from repro.serve.checkpoint import dumps_state
 from repro.sessions import Session, SessionSpec
 
 SEEDS = (1, 2, 3)
@@ -91,6 +94,7 @@ def test_session_delta_cost_benchmark():
             speedup = full_cost / delta_cost if delta_cost > 0 else float("inf")
             delta_wall = sum(apply_walls) / len(apply_walls)
             wall_ratio = delta_wall / full_wall
+            checkpoint_bytes = len(dumps_state(session.checkpoint()))
             if SCALE == 1 and mutated_frac <= 0.01:
                 assert speedup >= 5.0, (
                     f"{algorithm} seed={seed}: small-delta speedup "
@@ -103,7 +107,7 @@ def test_session_delta_cost_benchmark():
                          fmt_time(full_cost), fmt_time(delta_cost),
                          f"{speedup:.1f}x", fmt_time(full_wall),
                          fmt_time(delta_wall),
-                         f"{wall_ratio:.2f}"])
+                         f"{wall_ratio:.2f}", str(checkpoint_bytes)])
             bench_rows.append({
                 "algorithm": algorithm, "seed": seed,
                 "population": results[-1].population,
@@ -115,11 +119,12 @@ def test_session_delta_cost_benchmark():
                 "full_wall_s": round(full_wall, 6),
                 "delta_wall_s": round(delta_wall, 6),
                 "wall_ratio": round(wall_ratio, 3),
+                "checkpoint_bytes": checkpoint_bytes,
             })
 
     text = table(["algo", "seed", "population", "mutated", "dirty",
                   "full solve", "delta batch", "speedup", "full wall",
-                  "delta wall", "wall ratio"], rows)
+                  "delta wall", "wall ratio", "checkpoint B"], rows)
     emit("sessions", text)
     emit_bench("sessions", bench_rows)
 

@@ -14,6 +14,20 @@ Two-phase fixed-point iteration, exactly as the paper describes:
 
 The phases repeat until neither adds information.  Points-to sets are
 bit vectors (:class:`~repro.pta.bitset.BitMatrix`), as in [18].
+
+On the host, each phase is a few array passes.  :func:`induced_edges`
+evaluates every live load/store at once from one batched
+:meth:`~repro.pta.bitset.BitMatrix.members_of` call; the graph
+(:class:`~repro.pta.graph.PullGraph`) deduplicates the batch against
+its flat sorted edge index and models the Kernel-Only chunks from
+degree growth.  :func:`pull_sweep` picks the pulling nodes with one
+``reduceat`` over the index's CSR view, then runs their unions one at
+a time in ascending node order, so each reads rows pulled earlier in
+the same sweep (Gauss–Seidel).  That order is what keeps ``changed``,
+the round and sweep counts and every counter identical to a scalar
+loop over nodes.  The session planner's warm start
+(:mod:`repro.sessions.planners.pta`) shares both helpers; each driver
+prices its own launches.
 """
 
 from __future__ import annotations
@@ -30,7 +44,8 @@ from .bitset import BitMatrix
 from .constraints import Constraints, Kind
 from .graph import PullGraph
 
-__all__ = ["PTAResult", "andersen_pull", "serve_job"]
+__all__ = ["PTAResult", "andersen_pull", "deref_pointers",
+           "induced_edges", "pull_sweep", "serve_job"]
 
 
 @dataclass
@@ -111,8 +126,9 @@ def _andersen_pull_impl(cons: Constraints, *, chunk_size: int,
     ctr.launch("pta.addedge", items=int(p_copy.size),
                word_writes=2 * int(p_copy.size), barriers=1)
 
-    p_load, q_load = cons.of_kind(Kind.LOAD)
-    p_store, q_store = cons.of_kind(Kind.STORE)
+    loads = cons.of_kind(Kind.LOAD)
+    stores = cons.of_kind(Kind.STORE)
+    pointers = deref_pointers(loads, stores)
 
     changed = np.ones(n, dtype=bool)   # nodes whose pts changed last sweep
     rounds = sweeps = 0
@@ -125,72 +141,36 @@ def _andersen_pull_impl(cons: Constraints, *, chunk_size: int,
             tr.on_span_begin("pta.iteration", cat="iteration", round=rounds)
             tr.on_gauge("pta.enabled", int(changed.sum()))
         # ---- Phase 1: evaluate load/store constraints, add edges ---- #
-        new_src: list[np.ndarray] = []
-        new_dst: list[np.ndarray] = []
-        ls_work = np.zeros(p_load.size + p_store.size, dtype=np.int64)
-        reads = 0
-        for i, (p, q) in enumerate(zip(p_load.tolist(), q_load.tolist())):
-            if not changed[q] and rounds > 1:
-                ls_work[i] = 1
-                continue
-            vs = pts.members(q)
-            reads += W + vs.size
-            ls_work[i] = 1 + vs.size
-            if vs.size:
-                new_src.append(rep[vs])
-                new_dst.append(np.full(vs.size, p, dtype=np.int64))
-        for i, (p, q) in enumerate(zip(p_store.tolist(), q_store.tolist())):
-            j = p_load.size + i
-            if not changed[p] and rounds > 1:
-                ls_work[j] = 1
-                continue
-            vs = pts.members(p)
-            reads += W + vs.size
-            ls_work[j] = 1 + vs.size
-            if vs.size:
-                new_src.append(np.full(vs.size, q, dtype=np.int64))
-                new_dst.append(rep[vs])
+        live = (np.ones(pointers.size, dtype=bool) if rounds == 1
+                else changed[pointers])
+        src, dst, sizes = induced_edges(pts, loads, stores, live, rep)
         added = 0
-        if new_src:
+        if src.size:
             before = graph.alloc.chunks_allocated
-            added = graph.add_edges(np.concatenate(new_src),
-                                    np.concatenate(new_dst))
+            added = graph.add_edges(src, dst)
             ctr.bump("pta.chunks_malloced",
                      graph.alloc.chunks_allocated - before)
         edges_added += added
-        ctr.launch("pta.addedge", items=int(ls_work.size), word_reads=reads,
+        ctr.launch("pta.addedge", items=int(pointers.size),
+                   word_reads=W * int(live.sum()) + int(sizes.sum()),
                    word_writes=2 * added, barriers=1,
-                   work_per_thread=ls_work)
+                   work_per_thread=1 + sizes)
 
         # ---- Phase 2: pull-based propagation sweep ------------------ #
-        touched = changed.copy()
-        new_changed = np.zeros(n, dtype=bool)
         # A node must pull if any incoming neighbor changed, or it just
-        # gained edges (cheap conservative trigger: pull when any
-        # incoming neighbor is touched; fresh edges came from touched
-        # sources by construction of phase 1).
-        pull_nodes = []
-        pull_work = []
-        reads = writes = 0
-        for v in range(n):
-            inc = graph.incoming(v)
-            if inc.size == 0:
-                continue
-            if added == 0 and not touched[inc].any():
-                continue
-            pull_nodes.append(v)
-            pull_work.append(1 + inc.size)
-            reads += (inc.size + 1) * W
-            if pts.union_into(v, inc):
-                new_changed[v] = True
-                writes += W
+        # gained edges (cheap conservative trigger: every node pulls
+        # after an edge addition; fresh edges came from touched sources
+        # by construction of phase 1).
+        new_changed, pulled = pull_sweep(pts, graph, changed, added > 0)
         sweeps += 1
         # Section 7.6: enabled nodes are compacted to one side, so warp
         # lanes see uniform work; the work vector is recorded sorted.
-        work = np.asarray(sorted(pull_work, reverse=True), dtype=np.int64) \
-            if pull_nodes else np.zeros(1, dtype=np.int64)
-        ctr.launch("pta.propagate", items=len(pull_nodes), word_reads=reads,
-                   word_writes=writes, barriers=1, work_per_thread=work)
+        work = (np.sort(graph.deg[pulled] + 1)[::-1] if pulled.size
+                else np.zeros(1, dtype=np.int64))
+        ctr.launch("pta.propagate", items=int(pulled.size),
+                   word_reads=W * int((graph.deg[pulled] + 1).sum()),
+                   word_writes=W * int(new_changed.sum()), barriers=1,
+                   work_per_thread=work)
         changed = new_changed
         if tr is not None:
             tr.on_gauge("pta.changed", int(changed.sum()))
@@ -201,6 +181,67 @@ def _andersen_pull_impl(cons: Constraints, *, chunk_size: int,
     return PTAResult(pts=pts, counter=ctr, rounds=rounds,
                      edges_added=edges_added, propagation_sweeps=sweeps,
                      graph=graph)
+
+
+def deref_pointers(loads, stores) -> np.ndarray:
+    """The dereferenced pointer of every load (``p = *q``: ``q``) and
+    store (``*p = q``: ``p``), loads first — the variable whose change
+    re-enables the constraint."""
+    return np.concatenate([loads[1], stores[0]])
+
+
+def induced_edges(pts: BitMatrix, loads, stores, live: np.ndarray,
+                  rep: np.ndarray | None = None):
+    """Phase 1 (§6.4): the copy edges the ``live`` constraints induce.
+
+    ``loads``/``stores`` are ``(p, q)`` pairs from
+    :meth:`~repro.pta.constraints.Constraints.of_kind`; ``live`` masks
+    them, loads first (as :func:`deref_pointers`).  A live load
+    ``p = *q`` adds ``v -> p`` and a live store ``*p = q`` adds
+    ``q -> v`` for every ``v`` in the pointer's set, with ``v`` routed
+    through ``rep`` when given.  Returns ``(src, dst, sizes)``;
+    ``sizes[i]`` is the pointer's set size for a live constraint and 0
+    otherwise, from which each driver prices its own launch.
+    """
+    p_load, q_load = loads
+    p_store, q_store = stores
+    pointer = deref_pointers(loads, stores)
+    fixed = np.concatenate([p_load, q_store])
+    idx = np.flatnonzero(live)
+    pos, members = pts.members_of(pointer[idx])
+    sizes = np.zeros(pointer.size, dtype=np.int64)
+    sizes[idx] = np.bincount(pos, minlength=idx.size)
+    target = members if rep is None else rep[members]
+    end = fixed[idx][pos]
+    is_load = idx[pos] < p_load.size
+    return (np.where(is_load, target, end), np.where(is_load, end, target),
+            sizes)
+
+
+def pull_sweep(pts: BitMatrix, graph: PullGraph, touched: np.ndarray,
+               forced) -> tuple[np.ndarray, np.ndarray]:
+    """Phase 2 (§6.4): one pull-based propagation sweep.
+
+    A node with incoming edges pulls when ``forced`` (a bool, or a
+    per-node mask) or when any incoming neighbor is ``touched``; the
+    candidate test is one ``logical_or.reduceat`` over the CSR view.
+    The candidates then OR in their neighbors' sets one at a time in
+    ascending node order, so a node reads rows pulled earlier in the
+    same sweep (Gauss–Seidel, as the sequential reference loop did).
+    Returns ``(changed, pulled)``: the nodes whose set grew, as a
+    mask, and the nodes that pulled, ascending.
+    """
+    indptr, ids = graph.csr()
+    has = graph.deg > 0
+    pull = has & forced
+    if ids.size:
+        pull[has] |= np.logical_or.reduceat(touched[ids], indptr[:-1][has])
+    pulled = np.flatnonzero(pull)
+    changed = np.zeros(graph.num_nodes, dtype=bool)
+    for v in pulled.tolist():
+        if pts.union_into(v, ids[indptr[v]: indptr[v + 1]]):
+            changed[v] = True
+    return changed, pulled
 
 
 # ------------------------------------------------------------------ #

@@ -40,26 +40,34 @@ class BitMatrix:
 
     def members(self, set_id: int) -> np.ndarray:
         """Sorted member ids of one set."""
-        row = self.bits[set_id]
-        out = []
-        for w in np.flatnonzero(row):
-            word = int(row[w])
-            base = int(w) << 6
-            while word:
-                low = word & -word
-                out.append(base + low.bit_length() - 1)
-                word ^= low
-        return np.asarray(out, dtype=np.int64)
+        return self.members_of(np.asarray([set_id], dtype=np.int64))[1]
+
+    def members_of(self, set_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Members of several sets at once, as ``(pos, member)`` pairs.
+
+        ``pos[i]`` indexes ``set_ids``; pairs come grouped by position
+        and sorted by member within a group.  Only nonzero words are
+        unpacked, through a little-endian byte view, so bit ``b`` of
+        word ``w`` is member ``64 * w + b`` on any host.
+        """
+        rows = self.bits[np.asarray(set_ids, dtype=np.int64)]
+        pos, word = np.nonzero(rows)
+        octets = rows[pos, word].astype("<u8", copy=False).view(np.uint8)
+        hit, bit = np.nonzero(np.unpackbits(octets.reshape(-1, 8), axis=1,
+                                            bitorder="little"))
+        return pos[hit], (word[hit] << 6) + bit
 
     def union_into(self, dst: int, srcs: np.ndarray) -> bool:
         """``bits[dst] |= OR of bits[srcs]``; True if dst changed."""
         if len(srcs) == 0:
             return False
-        acc = np.bitwise_or.reduce(self.bits[srcs], axis=0)
-        new = self.bits[dst] | acc
-        changed = bool(np.any(new != self.bits[dst]))
-        self.bits[dst] = new
-        return changed
+        acc = np.bitwise_or.reduce(self.bits.take(srcs, axis=0), axis=0)
+        row = self.bits[dst]
+        acc |= row
+        if acc.tobytes() == row.tobytes():
+            return False
+        row[:] = acc
+        return True
 
     def counts(self) -> np.ndarray:
         """Population count per set."""

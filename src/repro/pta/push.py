@@ -20,7 +20,7 @@ import numpy as np
 from ..core.counters import OpCounter
 from ..resilience.addition import FallbackStorage
 from ..resilience.policy import launch_ok, maybe_activate_resilience
-from .andersen import PTAResult
+from .andersen import PTAResult, deref_pointers, induced_edges
 from .bitset import BitMatrix
 from .constraints import Constraints, Kind
 from .graph import PushGraph
@@ -63,8 +63,9 @@ def _push_impl(cons: Constraints, chunk_size: int,
     ctr.launch("pta.addedge", items=int(p_copy.size),
                word_writes=2 * int(p_copy.size), barriers=1)
 
-    p_load, q_load = cons.of_kind(Kind.LOAD)
-    p_store, q_store = cons.of_kind(Kind.STORE)
+    loads = cons.of_kind(Kind.LOAD)
+    stores = cons.of_kind(Kind.STORE)
+    pointers = deref_pointers(loads, stores)
 
     changed = np.ones(n, dtype=bool)
     rounds = sweeps = 0
@@ -73,32 +74,14 @@ def _push_impl(cons: Constraints, chunk_size: int,
             continue    # absorbed transient abort: re-issue the round
         rounds += 1
         # ---- Phase 1: edge addition (identical to the pull variant) -- #
-        new_src: list[np.ndarray] = []
-        new_dst: list[np.ndarray] = []
-        reads = 0
-        for p, q in zip(p_load.tolist(), q_load.tolist()):
-            if not changed[q] and rounds > 1:
-                continue
-            vs = pts.members(q)
-            reads += W + vs.size
-            if vs.size:
-                new_src.append(vs)
-                new_dst.append(np.full(vs.size, p, dtype=np.int64))
-        for p, q in zip(p_store.tolist(), q_store.tolist()):
-            if not changed[p] and rounds > 1:
-                continue
-            vs = pts.members(p)
-            reads += W + vs.size
-            if vs.size:
-                new_src.append(np.full(vs.size, q, dtype=np.int64))
-                new_dst.append(vs)
-        added = 0
-        if new_src:
-            added = graph.add_edges(np.concatenate(new_src),
-                                    np.concatenate(new_dst))
+        live = (np.ones(pointers.size, dtype=bool) if rounds == 1
+                else changed[pointers])
+        src, dst, sizes = induced_edges(pts, loads, stores, live)
+        added = graph.add_edges(src, dst) if src.size else 0
         edges_added += added
-        ctr.launch("pta.addedge", items=p_load.size + p_store.size,
-                   word_reads=reads, word_writes=2 * added, barriers=1)
+        ctr.launch("pta.addedge", items=int(pointers.size),
+                   word_reads=W * int(live.sum()) + int(sizes.sum()),
+                   word_writes=2 * added, barriers=1)
 
         # ---- Phase 2: push sweep ------------------------------------ #
         # Sources: changed nodes (all nodes on the first sweep or after

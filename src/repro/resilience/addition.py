@@ -53,15 +53,14 @@ class HostChunkAllocator(ChunkAllocator):
 
     def _new_chunk(self) -> np.ndarray:
         self.host_round_trips += 1
-        arr = self.host_alloc.malloc(self.chunk_size)  # host-heap fault site
-        self.chunks_allocated += 1
-        return arr
+        return self.host_alloc.malloc(self.chunk_size)  # host-heap fault site
 
 
 class FallbackStorage:
     """Per-node growable sorted ID sets behind the §7.1 fallback chain.
 
-    Drop-in storage for :class:`repro.pta.graph._EdgeLists`: starts in
+    Storage model for :class:`repro.pta.graph._EdgeLists`, which hands
+    it every node's new IDs in ascending node order: starts in
     ``kernel_only`` mode (a plain :class:`ChunkAllocator`); a
     :class:`~repro.errors.OutOfDeviceMemory` (e.g. an injected
     :class:`~repro.errors.ChunkPoolExhausted`) downgrades to
@@ -115,7 +114,7 @@ class FallbackStorage:
     def _active_chunks(self) -> ChunkAllocator:
         return self._kh_alloc if self.mode == "kernel_host" else self.alloc
 
-    # -- storage surface (what _EdgeLists delegates to) -------------- #
+    # -- storage surface (what _EdgeLists feeds) --------------------- #
 
     def insert(self, node: int, values: np.ndarray) -> int:
         while True:
@@ -145,14 +144,6 @@ class FallbackStorage:
     def of(self, node: int) -> np.ndarray:
         flat = self._flat.get(node)
         return flat if flat is not None else self.lists[node].to_array()
-
-    def degree(self, node: int) -> int:
-        flat = self._flat.get(node)
-        return int(flat.size) if flat is not None else len(self.lists[node])
-
-    def degrees(self) -> np.ndarray:
-        return np.asarray([self.degree(v) for v in range(self.num_nodes)],
-                          dtype=np.int64)
 
     @property
     def chunks_allocated(self) -> int:

@@ -152,12 +152,12 @@ class PtaPlanner:
 
     def _warm_start(self, delta, counter) -> None:
         """Monotone propagation from the old fixed point + new seeds."""
+        from ...pta.andersen import deref_pointers, induced_edges, pull_sweep
         from ...pta.constraints import Kind
 
         pts, graph = self.pts, self.graph
         n = self.cons.num_vars
         W = pts.words
-        rep = np.arange(n, dtype=np.int64)
 
         changed = np.zeros(n, dtype=bool)
         gained = np.zeros(n, dtype=bool)
@@ -175,75 +175,42 @@ class PtaPlanner:
         # Seed: new static copy edges; their targets must pull once.
         p_copy, q_copy = delta.of_kind(Kind.COPY)
         edges_added = graph.add_edges(q_copy, p_copy)
-        if p_copy.size:
-            gained[np.unique(p_copy)] = True
+        gained[p_copy] = True
         counter.launch("pta.addedge", items=int(p_copy.size),
                        word_writes=2 * int(p_copy.size), barriers=1)
 
         # Full load/store lists; the delta's rows are the tail (adds
         # concatenate), and are evaluated once regardless of ``changed``.
-        p_load, q_load = self.cons.of_kind(Kind.LOAD)
-        p_store, q_store = self.cons.of_kind(Kind.STORE)
-        n_new_load = int(delta.of_kind(Kind.LOAD)[0].size)
-        n_new_store = int(delta.of_kind(Kind.STORE)[0].size)
+        loads = self.cons.of_kind(Kind.LOAD)
+        stores = self.cons.of_kind(Kind.STORE)
+        pointers = deref_pointers(loads, stores)
+        fresh = np.zeros(pointers.size, dtype=bool)
+        fresh[loads[0].size - delta.of_kind(Kind.LOAD)[0].size:
+              loads[0].size] = True
+        fresh[pointers.size - delta.of_kind(Kind.STORE)[0].size:] = True
 
         rounds = sweeps = 0
         while rounds < _MAX_ROUNDS:
             rounds += 1
             # ---- Phase 1: evaluate enabled load/store constraints --- #
-            new_src: list = []
-            new_dst: list = []
-            items = reads = 0
-            for j, (p, q) in enumerate(zip(p_load.tolist(),
-                                           q_load.tolist())):
-                fresh = rounds == 1 and j >= p_load.size - n_new_load
-                if not changed[q] and not fresh:
-                    continue
-                vs = pts.members(q)
-                items += 1
-                reads += W + vs.size
-                if vs.size:
-                    new_src.append(rep[vs])
-                    new_dst.append(np.full(vs.size, p, dtype=np.int64))
-            for j, (p, q) in enumerate(zip(p_store.tolist(),
-                                           q_store.tolist())):
-                fresh = rounds == 1 and j >= p_store.size - n_new_store
-                if not changed[p] and not fresh:
-                    continue
-                vs = pts.members(p)
-                items += 1
-                reads += W + vs.size
-                if vs.size:
-                    new_src.append(np.full(vs.size, q, dtype=np.int64))
-                    new_dst.append(rep[vs])
+            live = changed[pointers] | (fresh if rounds == 1 else False)
+            src, dst, sizes = induced_edges(pts, loads, stores, live)
             added = 0
-            if new_src:
-                dst_cat = np.concatenate(new_dst)
-                added = graph.add_edges(np.concatenate(new_src), dst_cat)
-                gained[np.unique(dst_cat)] = True
+            if src.size:
+                added = graph.add_edges(src, dst)
+                gained[dst] = True
             edges_added += added
-            counter.launch("pta.addedge", items=items, word_reads=reads,
+            items = int(live.sum())
+            counter.launch("pta.addedge", items=items,
+                           word_reads=W * items + int(sizes.sum()),
                            word_writes=2 * added, barriers=1)
 
             # ---- Phase 2: pull only nodes with a fresh/changed input - #
-            touched = changed
-            new_changed = np.zeros(n, dtype=bool)
-            pulls = reads = writes = 0
-            for v in range(n):
-                inc = graph.incoming(v)
-                if inc.size == 0:
-                    continue
-                if not gained[v] and not touched[inc].any():
-                    continue
-                pulls += 1
-                reads += (inc.size + 1) * W
-                if pts.union_into(v, inc):
-                    new_changed[v] = True
-                    writes += W
+            changed, pulled = pull_sweep(pts, graph, changed, gained)
             sweeps += 1
-            counter.launch("pta.propagate", items=pulls, word_reads=reads,
-                           word_writes=writes, barriers=1)
-            changed = new_changed
+            counter.launch("pta.propagate", items=int(pulled.size),
+                           word_reads=W * int((graph.deg[pulled] + 1).sum()),
+                           word_writes=W * int(changed.sum()), barriers=1)
             gained = np.zeros(n, dtype=bool)
             if not changed.any() and added == 0:
                 break

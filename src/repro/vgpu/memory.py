@@ -140,9 +140,9 @@ class ChunkAllocator:
 
     def _new_chunk(self) -> np.ndarray:
         """One in-kernel chunk malloc; the fault site for §7.1
-        chunk-pool exhaustion (:class:`repro.errors.ChunkPoolExhausted`)."""
+        chunk-pool exhaustion (:class:`repro.errors.ChunkPoolExhausted`).
+        The caller counts the chunk once its whole request is granted."""
         fault_chunk()
-        self.chunks_allocated += 1
         return np.empty(self.chunk_size, dtype=np.int64)
 
     def insert_many(self, lst: ChunkList, values: np.ndarray) -> int:
@@ -174,6 +174,7 @@ class ChunkAllocator:
         fresh = [self._new_chunk()
                  for _ in range((spill + self.chunk_size - 1)
                                 // self.chunk_size)]
+        self.chunks_allocated += len(fresh)
         self.slots_used += added
         # Fill the tail chunk first, keeping it sorted.
         if room:
@@ -191,6 +192,28 @@ class ChunkAllocator:
             lst.counts.append(int(take.size))
             values = values[self.chunk_size :]
         return added
+
+    def account_growth(self, degrees: np.ndarray, grown: np.ndarray) -> int:
+        """Chunk accounting for lists growing from ``degrees`` by ``grown``.
+
+        The list-free form of :meth:`insert_many`, for callers that keep
+        the IDs themselves (:class:`repro.pta.graph.PullGraph`).  A list
+        of ``d`` IDs fills ``ceil(d / chunk_size)`` chunks, since inserts
+        fill the tail chunk before spilling.  Every fresh chunk is
+        offered to the fault layer first, in ascending list order, and
+        only then counted: a :class:`~repro.errors.ChunkPoolExhausted`
+        leaves the use counters exactly as they were.  Returns the
+        number of fresh chunks.
+        """
+        cs = self.chunk_size
+        degrees = np.asarray(degrees, dtype=np.int64)
+        fresh = int(((degrees + grown + cs - 1) // cs
+                     - (degrees + cs - 1) // cs).sum())
+        for _ in range(fresh):
+            fault_chunk()
+        self.chunks_allocated += fresh
+        self.slots_used += int(np.sum(grown))
+        return fresh
 
     @property
     def internal_fragmentation(self) -> float:

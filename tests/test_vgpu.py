@@ -6,12 +6,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.counters import OpCounter
+from repro.errors import ChunkPoolExhausted, OutOfDeviceMemory
+from repro.resilience.addition import HostChunkAllocator
 from repro.vgpu import (ChunkAllocator, CostModel, DeviceAllocator, FENCE,
                         HIERARCHICAL, LaunchConfig, NAIVE_ATOMIC, RecyclePool,
                         TESLA_C2070, XEON_E7540, spmd_launch)
 from repro.vgpu.atomics import (atomic_add, atomic_cas_batch, atomic_max,
                                 atomic_min, atomic_or, fetch_add_serialized,
                                 scatter_write)
+from repro.vgpu.faults import DeviceFaultPlan, DeviceFaultRule
 
 
 class TestDeviceSpecs:
@@ -256,6 +259,49 @@ class TestMemory:
         lst = ca.new_list()
         ca.insert_many(lst, np.arange(3))
         assert ca.internal_fragmentation == pytest.approx(5 / 8)
+
+    def test_chunk_fault_mid_insert_counts_nothing(self):
+        # 10 IDs need 3 fresh chunks; the 2nd grant faults.  The insert
+        # is all-or-nothing: no chunk of the failed request is counted.
+        ca = ChunkAllocator(chunk_size=4)
+        lst = ca.new_list()
+        plan = DeviceFaultPlan.of(DeviceFaultRule("chunk_exhausted", at=(2,)))
+        with plan.injector().activate(), pytest.raises(ChunkPoolExhausted):
+            ca.insert_many(lst, np.arange(10))
+        assert len(lst) == 0 and lst.chunks == []
+        assert (ca.chunks_allocated, ca.slots_used) == (0, 0)
+        assert ca.insert_many(lst, np.arange(10)) == 10
+        assert (ca.chunks_allocated, ca.slots_used) == (3, 10)
+
+    def test_host_chunk_fault_mid_insert_counts_nothing(self):
+        ca = HostChunkAllocator(4, DeviceAllocator())
+        lst = ca.new_list()
+        plan = DeviceFaultPlan.of(DeviceFaultRule("oom", at=(3,)))
+        with plan.injector().activate(), pytest.raises(OutOfDeviceMemory):
+            ca.insert_many(lst, np.arange(10))
+        assert len(lst) == 0
+        assert (ca.chunks_allocated, ca.slots_used) == (0, 0)
+
+    def test_account_growth_matches_insert_many(self):
+        # Degree-driven accounting equals what per-list inserts allocate.
+        ca, ref = ChunkAllocator(chunk_size=3), ChunkAllocator(chunk_size=3)
+        lists = [ref.new_list() for _ in range(3)]
+        deg = np.zeros(3, dtype=np.int64)
+        for grown in ([1, 0, 7], [2, 3, 0], [0, 1, 5]):
+            grown = np.asarray(grown, dtype=np.int64)
+            for v, g in enumerate(grown.tolist()):
+                ref.insert_many(lists[v], np.arange(deg[v], deg[v] + g))
+            ca.account_growth(deg, grown)
+            deg += grown
+            assert (ca.chunks_allocated, ca.slots_used) == \
+                (ref.chunks_allocated, ref.slots_used)
+
+    def test_account_growth_fault_counts_nothing(self):
+        ca = ChunkAllocator(chunk_size=4)
+        plan = DeviceFaultPlan.of(DeviceFaultRule("chunk_exhausted", at=(3,)))
+        with plan.injector().activate(), pytest.raises(ChunkPoolExhausted):
+            ca.account_growth(np.array([0, 3]), np.array([10, 2]))
+        assert (ca.chunks_allocated, ca.slots_used) == (0, 0)
 
     @given(st.lists(st.lists(st.integers(0, 50), max_size=10), max_size=12),
            st.integers(2, 16))

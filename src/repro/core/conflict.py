@@ -27,7 +27,10 @@ continue" remedy — with the guarantee checked against actual winners.
 
 Phases are separated by device-wide barriers; the engine reports how many
 barriers and atomics/marks it issued so the cost model can price the
-scheme (rows 2 of the Fig. 8 breakdown).
+scheme (rows 2 of the Fig. 8 breakdown).  Every driver prices its
+marking inside its own round launch, so the marking is counted once;
+``counter=`` records it as a launch of its own for callers without one.
+An active tracer receives the claimant, winner and abort-rate gauges.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ import numpy as np
 
 from ..vgpu.atomics import scatter_write
 from ..vgpu.instrument import SANITIZER, TRACER
-from .counters import OpCounter, warp_divergence
+from .counters import OpCounter
 from .ragged import Ragged
 
 __all__ = ["MarkResult", "three_phase_mark", "two_phase_mark", "winners_disjoint"]
@@ -104,15 +107,6 @@ def three_phase_mark(
     san = SANITIZER.current
     if san is not None:
         san.on_kernel_begin(name, threads=n_threads, scheme="3phase")
-    tr = TRACER.current
-    if tr is not None:
-        # The tracer receives one span per marking round with one priced
-        # event per protocol phase; the single OpCounter launch below is
-        # then suppressed so the work is not priced twice.
-        issued_steps, _ = warp_divergence(claims.lengths())
-        crit_steps = int(claims.lengths().max()) if claims.total() else 0
-        tr.on_span_begin(name, cat="kernel", threads=n_threads,
-                         scheme="3phase")
 
     # Phase 1: race — unsynchronized stores, shuffled winner.  The race
     # is intentional (``intent="mark"``): the protocol's own check phase
@@ -122,11 +116,6 @@ def three_phase_mark(
     # --- global barrier ---
     if san is not None:
         san.on_barrier()
-    if tr is not None:
-        tr.on_launch("race", cat="conflict.phase", items=n_threads,
-                     word_writes=claims.total(), barriers=1, launches=1,
-                     issued_lane_steps=issued_steps,
-                     critical_lane_steps=crit_steps)
 
     # Phase 2: prioritycheck — read all marks, then higher-priority
     # claimants overwrite lower-priority marks (again racy among equals).
@@ -138,12 +127,6 @@ def three_phase_mark(
     # --- global barrier ---
     if san is not None:
         san.on_barrier()
-    if tr is not None:
-        tr.on_launch("prioritycheck", cat="conflict.phase",
-                     items=n_threads, word_reads=claims.total(),
-                     word_writes=int(upgrade.sum()), barriers=1, launches=0,
-                     issued_lane_steps=issued_steps,
-                     critical_lane_steps=crit_steps)
 
     # Phase 3: check — read-only ownership verification.
     seen = _phase_read(marks, claims)
@@ -160,34 +143,28 @@ def three_phase_mark(
         winners[chosen] = True
         marks[claims.row(chosen)] = chosen
         barriers += 1
+    tr = TRACER.current
     if tr is not None:
-        tr.on_launch("check", cat="conflict.phase", items=n_threads,
-                     aborted=int((~winners).sum()),
-                     word_reads=claims.total(), barriers=barriers - 2,
-                     launches=0, issued_lane_steps=issued_steps,
-                     critical_lane_steps=crit_steps)
         tr.on_gauge("conflict.claimants", n_threads)
         tr.on_gauge("conflict.winners", int(winners.sum()))
         if n_threads:
             tr.on_gauge("conflict.abort_rate",
                         float((~winners).sum()) / n_threads)
-        tr.on_span_end()
 
     if san is not None:
         san.on_marking(name, claims, winners, scheme="3phase")
         san.on_kernel_end(name)
     if counter is not None:
-        with TRACER.suppress():
-            counter.launch(
-                name,
-                items=n_threads,
-                aborted=int((~winners).sum()),
-                word_reads=2 * claims.total(),
-                word_writes=writes,
-                atomics=0,
-                barriers=barriers,
-                work_per_thread=claims.lengths(),
-            )
+        counter.launch(
+            name,
+            items=n_threads,
+            aborted=int((~winners).sum()),
+            word_reads=2 * claims.total(),
+            word_writes=writes,
+            atomics=0,
+            barriers=barriers,
+            work_per_thread=claims.lengths(),
+        )
     return MarkResult(winners=winners, marks=marks, barriers=barriers,
                       mark_writes=writes)
 
@@ -221,21 +198,10 @@ def two_phase_mark(
     san = SANITIZER.current
     if san is not None:
         san.on_kernel_begin(name, threads=n_threads, scheme="2phase-unsafe")
-    tr = TRACER.current
-    if tr is not None:
-        issued_steps, _ = warp_divergence(claims.lengths())
-        crit_steps = int(claims.lengths().max()) if claims.total() else 0
-        tr.on_span_begin(name, cat="kernel", threads=n_threads,
-                         scheme="2phase-unsafe")
 
     scatter_write(marks, claims.values, rows, rng, tids=rows, intent="mark")
     if san is not None:
         san.on_barrier()
-    if tr is not None:
-        tr.on_launch("race", cat="conflict.phase", items=n_threads,
-                     word_writes=claims.total(), barriers=1, launches=1,
-                     issued_lane_steps=issued_steps,
-                     critical_lane_steps=crit_steps)
     seen = _phase_read(marks, claims)
     # Thread keeps the element if it sees itself or something weaker.
     keeps = priorities[rows] >= priorities[seen]
@@ -246,28 +212,21 @@ def two_phase_mark(
     lost = np.zeros(n_threads, dtype=bool)
     np.logical_or.at(lost, rows, ~keeps)
     winners = ~lost
+    tr = TRACER.current
     if tr is not None:
-        tr.on_launch("prioritycheck", cat="conflict.phase",
-                     items=n_threads, aborted=int((~winners).sum()),
-                     word_reads=claims.total(),
-                     word_writes=int(upgrade.sum()), launches=0,
-                     issued_lane_steps=issued_steps,
-                     critical_lane_steps=crit_steps)
         tr.on_gauge("conflict.claimants", n_threads)
         tr.on_gauge("conflict.winners", int(winners.sum()))
-        tr.on_span_end()
     if san is not None:
         # The missing check phase is exactly what the sanitizer audits:
         # overlapping "exclusive" winners surface as write-write races.
         san.on_marking(name, claims, winners, scheme="2phase-unsafe")
         san.on_kernel_end(name)
     if counter is not None:
-        with TRACER.suppress():
-            counter.launch(name, items=n_threads,
-                           aborted=int((~winners).sum()),
-                           word_reads=claims.total(),
-                           word_writes=claims.total() + int(upgrade.sum()),
-                           barriers=1, work_per_thread=claims.lengths())
+        counter.launch(name, items=n_threads,
+                       aborted=int((~winners).sum()),
+                       word_reads=claims.total(),
+                       word_writes=claims.total() + int(upgrade.sum()),
+                       barriers=1, work_per_thread=claims.lengths())
     return MarkResult(winners=winners, marks=marks, barriers=1,
                       mark_writes=claims.total() + int(upgrade.sum()))
 

@@ -18,9 +18,12 @@ The counter records, per named kernel:
 
 Counts are plain integers; the class stays dependency-light so that
 substrates (meshing, graph generators) can use it too — its only
-coupling is a lazy hand-off of each launch to the
-``TRACER`` slot of :mod:`repro.vgpu.instrument` (a ``None`` check when
-no tracer is active).
+coupling is a lazy hand-off to the ``TRACER`` slot of
+:mod:`repro.vgpu.instrument` (a ``None`` check when no tracer is
+active).  Each ``launch`` and each ``bump`` hands the counter itself to
+the active tracer, which re-prices it with
+:meth:`repro.vgpu.costmodel.CostModel.gpu_time`; ``merge`` adds
+tallies silently, so work a tracer already saw is not priced twice.
 """
 
 from __future__ import annotations
@@ -181,27 +184,24 @@ class OpCounter:
                 ks.critical_lane_steps += int(np.max(work_per_thread))
         else:
             # Assume one unit of work per item with converged warps.
-            issued = useful = items
             ks.issued_lane_steps += items
             ks.useful_lane_steps += items
             ks.critical_lane_steps += 1 if items else 0
         tracer = _hooks().TRACER.current
         if tracer is not None:
-            critical = (int(np.max(work_per_thread))
-                        if work_per_thread is not None
-                        and np.asarray(work_per_thread).size
-                        else (1 if items else 0))
             tracer.on_launch(
-                name, items=items, aborted=aborted,
+                self, name, items=items, aborted=aborted,
                 word_reads=word_reads, word_writes=word_writes,
                 atomics=atomics, barriers=barriers,
-                launches=1 if count_launch else 0,
-                issued_lane_steps=issued, critical_lane_steps=critical)
+                launches=1 if count_launch else 0)
         return ks
 
     def bump(self, name: str, value: float = 1.0) -> None:
         """Increment a free-form scalar tally."""
         self.scalars[name] = self.scalars.get(name, 0.0) + value
+        tracer = _hooks().TRACER.current
+        if tracer is not None:
+            tracer.on_bump(self, name, value)
 
     # ------------------------------------------------------------------ #
     def kernels(self) -> Mapping[str, KernelStats]:
@@ -233,7 +233,7 @@ class OpCounter:
         for name, ks in other:
             self.kernel(name).merge(ks)
         for key, val in other.scalars.items():
-            self.bump(key, val)
+            self.scalars[key] = self.scalars.get(key, 0.0) + val
 
     def __add__(self, other: "OpCounter") -> "OpCounter":
         """Lossless aggregation: a fresh counter holding both tallies.

@@ -96,6 +96,19 @@ class DMRConfig:
         if self.precision not in ("float32", "float64"):
             raise ValueError("precision must be float32 or float64")
 
+    def record_cost_config(self, counter: OpCounter) -> None:
+        """Record the barrier scheme and precision on ``counter``.
+
+        ``CostModel.gpu_time`` prices every barrier and lane-step of a
+        counter with these scalars, so they are set before the counter's
+        first launch — also when §9 insertions share the counter ahead
+        of the refinement.
+        """
+        if self.precision == "float32":
+            # Fermi FP32 issues at 2x the FP64 rate.
+            counter.scalars["fp_scale"] = 0.5
+        counter.scalars["barrier_kind"] = self.barrier.index
+
 
 @dataclass
 class DMRResult:
@@ -354,9 +367,9 @@ def refine_gpu(mesh: TriMesh, config: DMRConfig | None = None,
     and the device primitives report to its shadow memory.
 
     ``tracer`` (opt-in) activates a :mod:`repro.obs` tracer: the run is
-    recorded as a span hierarchy (driver -> iteration -> conflict
-    phases) with cost-model durations and gauges, without perturbing
-    the refinement (no RNG draws, no state changes).
+    recorded as a span hierarchy (driver -> iteration -> launches and
+    host transfers) priced by the cost model, plus gauges, without
+    perturbing the refinement (no RNG draws, no state changes).
 
     ``resilience`` (opt-in, a :class:`repro.resilience.Resilience`)
     degrades gracefully under device faults: transient kernel aborts at
@@ -379,9 +392,7 @@ def _refine_impl(mesh: TriMesh, config: DMRConfig | None,
     rng = np.random.default_rng(cfg.seed)
     ctr = counter or OpCounter()
     dtype = np.float32 if cfg.precision == "float32" else np.float64
-    if cfg.precision == "float32":
-        ctr.scalars["fp_scale"] = 0.5  # Fermi FP32 issues at 2x FP64 rate
-    ctr.scalars["barrier_kind"] = cfg.barrier.index
+    cfg.record_cost_config(ctr)
 
     if cfg.layout_opt:
         mesh = reorder_mesh(mesh)
@@ -415,7 +426,8 @@ def _refine_impl(mesh: TriMesh, config: DMRConfig | None,
             # Explicit begin/end (not a with-block): the span covers the
             # whole do-while iteration below.
             tr.on_span_begin("dmr.iteration", cat="iteration", round=outer)
-            tr.on_geometry(launch.blocks, launch.threads_per_block)
+            tr.on_gauge("launch.blocks", launch.blocks)
+            tr.on_gauge("launch.tpb", launch.threads_per_block)
             tr.on_gauge("dmr.bad_pending", int(bad_all.size))
         live_count = int((~mesh.isdel[: mesh.n_tris]).sum())
         threads_eff = min(launch.total_threads,
@@ -639,6 +651,7 @@ def serve_job(params, strategy, seed, ctx):
         kwargs["adaptive"] = adaptive_from_dict(strategy["adaptive"])
     cfg = DMRConfig(seed=seed, **kwargs)
     mesh = random_mesh(int(params.get("n_triangles", 600)), seed=seed)
+    cfg.record_cost_config(ctx.counter)
     for op in mutations:
         from ..meshing.gpu_insert import gpu_insert_points
 

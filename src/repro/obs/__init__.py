@@ -1,9 +1,10 @@
 """repro.obs — launch-level tracing & metrics for the virtual GPU.
 
 The paper's evaluation (§8, Figs. 6–11) is about *where modeled time
-goes*: kernel launches, conflict-resolution phases, barrier crossings,
-worklist occupancy.  This package records that structure as a span
-timeline on a virtual clock and exports it three ways:
+goes*: kernel launches, host transfers, barrier crossings, worklist
+occupancy.  This package records that structure as a span timeline on
+a virtual clock, priced by ``CostModel.gpu_time`` so that it adds up
+to the figure, and exports it three ways:
 
 * Chrome ``trace_event`` JSON (:func:`chrome_trace`) for
   ``chrome://tracing`` / Perfetto,

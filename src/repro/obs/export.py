@@ -55,7 +55,7 @@ def chrome_trace(tracer: Tracer) -> dict:
             })
     return {"traceEvents": events, "displayTimeUnit": "ms",
             "otherData": {"modeled_us": tracer.now_us,
-                          "spec": tracer.spec.name}}
+                          "spec": tracer.cost.gpu.name}}
 
 
 def write_chrome_trace(path: str | Path, tracer: Tracer) -> Path:

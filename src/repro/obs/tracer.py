@@ -1,23 +1,26 @@
-"""The concrete :class:`Tracer`: spans, launch pricing, and gauges.
+"""The concrete :class:`Tracer`: spans, priced events, and gauges.
 
 A :class:`Tracer` implements the :class:`repro.vgpu.instrument.TracerHooks`
 interface and builds a timeline of :class:`SpanEvent` records on a
 *virtual* microsecond clock.  Because nothing here executes on real
-hardware, wall-clock time is meaningless; instead the clock advances only
-when a priced launch event arrives, by the cost-model duration of that
-launch.  The resulting trace therefore shows *modeled* time — the same
-quantity the Fig. 6–11 benchmarks report — broken down per launch and per
-conflict-resolution phase.
+hardware, wall-clock time is meaningless; the clock shows *modeled*
+time — the quantity the Fig. 6–11 benchmarks report — and only counter
+reports move it.
 
-Pricing replicates the per-kernel body of
-:meth:`repro.vgpu.costmodel.CostModel.gpu_time` directly rather than
-building a throwaway :class:`~repro.core.counters.OpCounter` and pricing
-it, because ``OpCounter.launch`` is itself a tracer hook site — going
-through it from inside the tracer would recurse.
+Pricing: :meth:`repro.vgpu.costmodel.CostModel.gpu_time` is the one
+pricer.  Every :class:`~repro.core.counters.OpCounter` hands itself to
+the active tracer on each ``launch`` and each ``bump``; the tracer
+re-prices that counter and advances the clock by how much its
+``gpu_time`` rose since the tracer last saw it.  A launch becomes a
+``kernel.launch`` event, a bump a ``host`` event (PCIe transfers,
+reallocations, device-heap mallocs).  The events of one counter
+therefore add up to its ``gpu_time`` by construction, and a trace over
+several counters adds up to the sum of theirs.  A counter that arrives
+non-empty (a resumed checkpoint) is priced whole at its first event.
 
-Determinism: a tracer never mutates device or algorithm state and never
-draws from an RNG, so a traced run is byte-identical to an untraced one
-(``tests/test_seed_stability.py`` enforces this).
+Determinism: a tracer never mutates device, counter or algorithm state
+and never draws from an RNG, so a traced run is byte-identical to an
+untraced one (``tests/test_seed_stability.py`` enforces this).
 """
 
 from __future__ import annotations
@@ -25,10 +28,8 @@ from __future__ import annotations
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
-from ..vgpu.costmodel import GPU_ATOMIC_UNITS, GPU_CYCLES_PER_STEP
-from ..vgpu.device import GpuSpec, TESLA_C2070
+from ..vgpu.costmodel import CostModel
 from ..vgpu.instrument import TRACER, TracerHooks
-from ..vgpu.sync import BarrierModel, HIERARCHICAL
 
 __all__ = ["SpanEvent", "Tracer"]
 
@@ -50,71 +51,40 @@ class SpanEvent:
 
 
 class Tracer(TracerHooks):
-    """Record hierarchical spans and gauges for one (or more) driver runs.
+    """Record hierarchical spans, priced events and gauges for one (or
+    more) driver runs, priced on the paper's Tesla C2070."""
 
-    Parameters
-    ----------
-    spec:
-        GPU whose cost table prices the launches (default Tesla C2070,
-        the paper's card).
-    barrier:
-        Barrier scheme used for pricing barrier crossings when the
-        kernel did not override it.
-    blocks / threads_per_block:
-        Default launch geometry for barrier pricing; drivers that adapt
-        their geometry report it via :meth:`on_geometry` and override
-        these.
-    """
-
-    def __init__(self, spec: GpuSpec = TESLA_C2070, *,
-                 barrier: BarrierModel = HIERARCHICAL,
-                 blocks: int | None = None,
-                 threads_per_block: int = 256) -> None:
-        self.spec = spec
-        self.barrier = barrier
-        self.blocks = blocks if blocks is not None else spec.num_sms * 8
-        self.threads_per_block = threads_per_block
+    def __init__(self) -> None:
+        self.cost = CostModel()
         #: closed events, in completion order (exporter sorts by ts)
         self.events: list[SpanEvent] = []
         #: open spans, outermost first
         self.stack: list[SpanEvent] = []
         #: gauge name -> list of (ts, value) samples
         self.gauges: dict[str, list[tuple[float, float]]] = {}
-        #: per-launch-name accumulated (count, priced µs)
+        #: kernel name -> [launches, priced µs, items, aborted]
         self.launch_totals: dict[str, list] = {}
+        #: scalar name -> [bumps, priced µs]
+        self.host_totals: dict[str, list] = {}
+        #: id(counter) -> (counter, its µs already on the clock); holding
+        #: the counter keeps its id from being reused by a new one
+        self._priced: dict[int, tuple[object, float]] = {}
         self._now = 0.0
 
-    # ------------------------------------------------------------------ #
-    # clock & pricing                                                    #
-    # ------------------------------------------------------------------ #
     @property
     def now_us(self) -> float:
         """Current position of the virtual clock, in microseconds."""
         return self._now
 
-    def _price_us(self, *, items: int, word_reads: int, word_writes: int,
-                  atomics: int, barriers: int, launches: int,
-                  issued_lane_steps: int, critical_lane_steps: int) -> float:
-        """Modeled GPU microseconds for one launch's counts.
-
-        Mirrors the per-kernel body of ``CostModel.gpu_time`` (same
-        constants, same max-of-compute-and-memory overlap rule).
-        """
-        spec = self.spec
-        if issued_lane_steps == 0 and items:
-            issued_lane_steps = items
-            critical_lane_steps = critical_lane_steps or 1
-        cycles = launches * spec.kernel_launch_cycles
-        throughput = issued_lane_steps * GPU_CYCLES_PER_STEP / spec.total_cores
-        critical = critical_lane_steps * GPU_CYCLES_PER_STEP
-        compute = max(throughput, critical)
-        mem = (word_reads + word_writes) / spec.words_per_clock
-        cycles += max(compute, mem)
-        cycles += atomics * spec.atomic_cycles / (
-            GPU_ATOMIC_UNITS * spec.cores_per_sm)
-        cycles += barriers * self.barrier.cycles(
-            spec, self.blocks, self.threads_per_block)
-        return cycles / spec.clock_hz * 1e6
+    def _advance(self, name: str, cat: str, counter, args: dict) -> float:
+        """Append one event pricing ``counter``'s rise; returns its µs."""
+        priced = self.cost.gpu_time(counter) * 1e6
+        seen = self._priced.get(id(counter))
+        self._priced[id(counter)] = (counter, priced)
+        dur = priced - (seen[1] if seen is not None else 0.0)
+        self.events.append(SpanEvent(name, cat, self._now, dur, args))
+        self._now += dur
+        return dur
 
     # ------------------------------------------------------------------ #
     # TracerHooks implementation                                         #
@@ -131,37 +101,22 @@ class Tracer(TracerHooks):
             span.args.update(args)
         self.events.append(span)
 
-    def on_launch(self, name: str, *, cat: str = "kernel.launch",
-                  items: int = 0, aborted: int = 0, word_reads: int = 0,
-                  word_writes: int = 0, atomics: int = 0, barriers: int = 0,
-                  launches: int = 1, issued_lane_steps: int = 0,
-                  critical_lane_steps: int = 0) -> None:
-        dur = self._price_us(
-            items=items, word_reads=word_reads, word_writes=word_writes,
-            atomics=atomics, barriers=barriers, launches=launches,
-            issued_lane_steps=issued_lane_steps,
-            critical_lane_steps=critical_lane_steps)
-        self.events.append(SpanEvent(
-            name, cat, self._now, dur,
-            {"items": items, "aborted": aborted,
-             "word_reads": word_reads, "word_writes": word_writes,
-             "atomics": atomics, "barriers": barriers,
-             "launches": launches}))
+    def on_launch(self, counter, name: str, **counts) -> None:
+        dur = self._advance(name, "kernel.launch", counter, counts)
         tot = self.launch_totals.setdefault(name, [0, 0.0, 0, 0])
-        tot[0] += launches
+        tot[0] += counts.get("launches", 1)
         tot[1] += dur
-        tot[2] += items
-        tot[3] += aborted
-        self._now += dur
+        tot[2] += counts.get("items", 0)
+        tot[3] += counts.get("aborted", 0)
+
+    def on_bump(self, counter, name: str, value: float) -> None:
+        dur = self._advance(name, "host", counter, {"value": value})
+        tot = self.host_totals.setdefault(name, [0, 0.0])
+        tot[0] += 1
+        tot[1] += dur
 
     def on_gauge(self, name: str, value: float) -> None:
         self.gauges.setdefault(name, []).append((self._now, float(value)))
-
-    def on_geometry(self, blocks: int, threads_per_block: int) -> None:
-        self.blocks = int(blocks)
-        self.threads_per_block = int(threads_per_block)
-        self.on_gauge("launch.blocks", blocks)
-        self.on_gauge("launch.tpb", threads_per_block)
 
     # ------------------------------------------------------------------ #
     # user-facing conveniences                                           #
@@ -199,18 +154,26 @@ class Tracer(TracerHooks):
             launch.<name>.us              priced time per kernel
             launch.<name>.items           work items per kernel
             launch.<name>.aborted         aborted items per kernel
+            host.<name>.count             bumps per scalar tally
+            host.<name>.us                priced time per scalar tally
             gauge.<name>.last/.max/.n     final / peak / sample count
+
+        ``modeled_us`` is the sum of every ``launch.*.us`` and
+        ``host.*.us``.
         """
         out: dict[str, float] = {"modeled_us": self._now}
         out["span.count"] = float(sum(
-            1 for e in self.events if e.cat not in
-            ("kernel.launch", "conflict.phase")))
+            1 for e in self.events if e.cat not in ("kernel.launch", "host")))
         for name in sorted(self.launch_totals):
             count, us, items, aborted = self.launch_totals[name]
             out[f"launch.{name}.count"] = float(count)
             out[f"launch.{name}.us"] = us
             out[f"launch.{name}.items"] = float(items)
             out[f"launch.{name}.aborted"] = float(aborted)
+        for name in sorted(self.host_totals):
+            count, us = self.host_totals[name]
+            out[f"host.{name}.count"] = float(count)
+            out[f"host.{name}.us"] = us
         for name in sorted(self.gauges):
             samples = self.gauges[name]
             out[f"gauge.{name}.last"] = samples[-1][1]

@@ -33,8 +33,8 @@ from __future__ import annotations
 import pickle
 from pathlib import Path
 
+from .. import storage
 from ..errors import CorruptCheckpoint
-from ..storage import atomic_write_bytes, quarantine
 
 __all__ = ["CheckpointStore", "dumps_state", "loads_state"]
 
@@ -98,7 +98,7 @@ class CheckpointStore:
         history and older versions beyond ``keep_latest`` are pruned.
         """
         path = self.path(job_name, version)
-        atomic_write_bytes(path, dumps_state(state))
+        storage.atomic_write_bytes(path, dumps_state(state))
         if version is not None:
             self.prune(job_name)
         return path
@@ -134,7 +134,7 @@ class CheckpointStore:
             return loads_state(path.read_bytes())
         except (pickle.UnpicklingError, EOFError, AttributeError,
                 ImportError, IndexError, ValueError, OSError) as exc:
-            quarantined = quarantine(path)
+            quarantined = storage.quarantine(path)
             raise CorruptCheckpoint(
                 f"checkpoint for job {job_name!r} is corrupt "
                 f"({type(exc).__name__}: {exc}); quarantined to "

@@ -15,12 +15,12 @@ decides *execution*.  Two classic policies are provided:
 
 Observability rides along: when given a :class:`repro.obs.Tracer`, the
 scheduler emits one ``serve.job`` span per job (annotated with status,
-attempts, and resume round) and ``serve.queue_wait_s`` /
-``serve.service_s`` / ``serve.queue_depth`` gauges.  Jobs execute in
-worker processes where the batch tracer is not installed, so spans are
-reconstructed on the scheduler side from each record's measured
-wall-clock facts — the span *durations* are real seconds scaled to the
-tracer's microsecond axis, not modeled GPU time.
+attempts, resume round and the measured wall ``service_s``) and
+``serve.queue_wait_s`` / ``serve.service_s`` / ``serve.queue_depth``
+gauges.  Jobs execute in worker processes where the batch tracer is not
+installed, so spans are reconstructed on the scheduler side from each
+record.  They do not advance the tracer's clock: that axis is modeled
+GPU time, and wall seconds never share it.
 """
 
 from __future__ import annotations
@@ -184,10 +184,8 @@ class Scheduler:
             tracer.on_span_begin(
                 "serve.job", cat="serve", job=r.spec.name,
                 algorithm=r.spec.algorithm, status=r.status,
-                attempts=r.attempts, resumed_round=r.resumed_round)
-            # Span duration = measured service seconds on the tracer's
-            # microsecond axis (wall time, not modeled GPU time).
-            tracer._now += r.service_s * 1e6
+                attempts=r.attempts, resumed_round=r.resumed_round,
+                service_s=r.service_s)
             tracer.on_span_end()
             tracer.on_gauge("serve.queue_wait_s", r.queue_wait_s)
             tracer.on_gauge("serve.service_s", r.service_s)

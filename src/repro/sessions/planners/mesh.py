@@ -73,6 +73,9 @@ class DmrPlanner:
     def _insert(self, ops, counter, resilience) -> int:
         from ...meshing.gpu_insert import gpu_insert_points
 
+        # The refine that follows prices the whole counter under its
+        # configuration; record it before the inserts' first launch.
+        self._config().record_cost_config(counter)
         inserted = 0
         for op in ops:
             mx, my = mutation_points(op)

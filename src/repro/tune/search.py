@@ -35,6 +35,7 @@ import numpy as np
 
 from ..core.counters import OpCounter
 from ..vgpu.costmodel import CostModel
+from ..vgpu.instrument import TRACER
 from .cache import TuneRecord, TuningCache, fingerprint_params
 from .space import ConfigSpace, config_key, space_for
 
@@ -120,17 +121,17 @@ def score_config(algorithm: str, params: Mapping, config: Mapping,
     space = space_for(algorithm)
     cfg = space.canonical(config)
     ctx = JobContext(counter=OpCounter(), resilience=resilience)
-    get_adapter(algorithm)(proxy_params(algorithm, params, scale), cfg,
-                           seed, ctx)
+    if tracer is not None:
+        # The trial runs under the tracer, which prices its counter as
+        # it goes: the span's duration is the trial's modeled GPU time.
+        tracer.on_span_begin("tune.trial", cat="tune", algorithm=algorithm,
+                             scale=scale, config=config_key(cfg))
+    with TRACER.maybe_activate(tracer):
+        get_adapter(algorithm)(proxy_params(algorithm, params, scale), cfg,
+                               seed, ctx)
     modeled = CostModel().gpu_time(ctx.counter)
     if tracer is not None:
-        # Same convention as the serve scheduler: the span's duration is
-        # the trial's modeled GPU time on the tracer's microsecond axis.
-        tracer.on_span_begin("tune.trial", cat="tune", algorithm=algorithm,
-                             scale=scale, config=config_key(cfg),
-                             modeled_gpu_s=modeled)
-        tracer._now += modeled * 1e6
-        tracer.on_span_end()
+        tracer.on_span_end(modeled_gpu_s=modeled)
     return Trial(config=cfg, scale=scale, modeled_gpu_s=modeled)
 
 

@@ -18,7 +18,7 @@ from .kernel import KernelLauncher, spmd_launch
 from .costmodel import CostModel, ModeledTimes
 from .instrument import (DEVICE_FAULTS, SANITIZER, TRACER, HookSlot,
                          SanitizerHooks, TracerHooks, record_read,
-                         record_write, trace_gauge, trace_launch, trace_span)
+                         record_write, trace_gauge, trace_span)
 from . import atomics, instrument
 
 __all__ = [
@@ -28,5 +28,5 @@ __all__ = [
     "KernelLauncher", "spmd_launch", "CostModel", "ModeledTimes", "atomics",
     "DEVICE_FAULTS", "SANITIZER", "TRACER", "HookSlot", "instrument",
     "SanitizerHooks", "record_read", "record_write",
-    "TracerHooks", "trace_span", "trace_launch", "trace_gauge",
+    "TracerHooks", "trace_span", "trace_gauge",
 ]

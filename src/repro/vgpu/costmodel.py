@@ -81,27 +81,27 @@ class CostModel:
         self.barrier = barrier
 
     # ------------------------------------------------------------------ #
-    def gpu_time(self, counter: OpCounter, *, blocks: int | None = None,
-                 threads_per_block: int = 256,
-                 barrier: BarrierModel | None = None) -> float:
+    def gpu_time(self, counter: OpCounter) -> float:
         """Modeled GPU seconds for everything recorded in ``counter``.
 
-        ``blocks``/``threads_per_block`` describe the launch geometry used
-        for barrier costs; kernels that recorded their own geometry via
-        the scalars ``cfg_blocks``/``cfg_tpb`` override the defaults.
+        This is the one pricer: :class:`repro.obs.Tracer` advances its
+        clock by how much this figure rose, so a trace adds up to it.
+
+        The counter's configuration scalars price the whole counter:
+        ``barrier_kind`` (0 fence, 1 hierarchical, 2 naive-atomic;
+        default this model's ``barrier``), the launch geometry
+        ``cfg_blocks``/``cfg_tpb`` (default 8 blocks per SM of 256
+        threads) and ``fp_scale``.  A driver records them before its
+        first launch.
         """
         spec = self.gpu
-        bar = barrier or self.barrier
-        # Kernels may record which barrier scheme they used (0 = fence,
-        # 1 = hierarchical, 2 = naive-atomic); that wins over defaults.
+        bar = self.barrier
         kind = counter.scalars.get("barrier_kind")
-        if barrier is None and kind is not None:
+        if kind is not None:
             from .sync import FENCE, HIERARCHICAL as HIER, NAIVE_ATOMIC
             bar = (FENCE, HIER, NAIVE_ATOMIC)[int(kind)]
-        if blocks is None:
-            blocks = spec.num_sms * 8
-        blocks = int(counter.scalars.get("cfg_blocks", blocks))
-        threads_per_block = int(counter.scalars.get("cfg_tpb", threads_per_block))
+        blocks = int(counter.scalars.get("cfg_blocks", spec.num_sms * 8))
+        threads_per_block = int(counter.scalars.get("cfg_tpb", 256))
         # fp_scale < 1 models single-precision arithmetic (Fermi FP32
         # issues at twice the FP64 rate) — recorded by the kernel itself.
         fp_scale = float(counter.scalars.get("fp_scale", 1.0))
@@ -177,11 +177,11 @@ class CostModel:
 
     # ------------------------------------------------------------------ #
     def times(self, gpu_counter: OpCounter, cpu_counter: OpCounter,
-              serial_counter: OpCounter, *, threads: int = 48,
-              **gpu_kwargs) -> ModeledTimes:
+              serial_counter: OpCounter, *, threads: int = 48
+              ) -> ModeledTimes:
         """Bundle the three modeled times for one experiment row."""
         return ModeledTimes(
-            gpu=self.gpu_time(gpu_counter, **gpu_kwargs),
+            gpu=self.gpu_time(gpu_counter),
             cpu_parallel=self.cpu_time(cpu_counter, threads),
             serial=self.serial_time(serial_counter),
         )

@@ -25,9 +25,11 @@ installed for a dynamic scope with its slot::
 
 A tracer is any object implementing :class:`TracerHooks` (the concrete
 one is :class:`repro.obs.Tracer`); it is installed with
-``TRACER.activate`` / ``TRACER.maybe_activate`` and fed through the
-:func:`trace_span` / :func:`trace_launch` / :func:`trace_gauge`
-convenience wrappers sprinkled through the device and core layers.
+``TRACER.activate`` / ``TRACER.maybe_activate``.  Every
+:class:`~repro.core.counters.OpCounter` reports its launches and scalar
+bumps to it, and the :func:`trace_span` / :func:`trace_gauge`
+convenience wrappers sprinkled through the device and core layers add
+structure and samples.
 A device-fault client implements :class:`FaultHooks` and is offered
 each failure surface through the ``fault_*`` wrappers.
 
@@ -47,7 +49,7 @@ __all__ = [
     "FaultHooks", "HookSlot", "SanitizerHooks", "TracerHooks",
     "fault_chunk", "fault_kernel", "fault_malloc", "fault_pool",
     "fault_transfer", "record_read", "record_write", "trace_gauge",
-    "trace_launch", "trace_span",
+    "trace_span",
 ]
 
 
@@ -87,10 +89,6 @@ class HookSlot:
         if client is None:
             return nullcontext()
         return self.activate(client)
-
-    def suppress(self):
-        """Hide the active client for the ``with`` block, then restore it."""
-        return self.activate(None)
 
 
 class SanitizerHooks:
@@ -177,21 +175,22 @@ class TracerHooks:
     device:
 
     * span scopes (``on_span_begin`` / ``on_span_end``) delimit
-      hierarchical regions — driver runs, do-while iterations, marking
-      kernels;
-    * ``on_launch`` reports one completed kernel launch (or one
-      barrier-separated wave / conflict phase of a running kernel) with
-      its operation counts, from which a tracer derives a cost-model
-      duration;
+      hierarchical regions — driver runs, do-while iterations, jobs;
+    * ``on_launch`` reports that ``counter`` just recorded one kernel
+      launch (or one barrier-separated wave of a running kernel) with
+      the given counts;
+    * ``on_bump`` reports that ``counter`` raised a scalar tally — the
+      host-driven costs (PCIe transfers, reallocations, device-heap
+      mallocs) live there;
     * ``on_gauge`` samples a named scalar (worklist occupancy, bytes
       live, threads-per-block, ...) at the current point of the span
-      timeline;
-    * ``on_geometry`` reports the launch geometry so barrier crossings
-      can be priced for the configuration actually in flight.
+      timeline.
 
-    All hooks are *observational*: a tracer must not mutate device
-    state and must not draw from any RNG, so traced runs stay
-    byte-identical to untraced ones.
+    A tracer prices a report by re-pricing the whole ``counter`` with
+    :meth:`repro.vgpu.costmodel.CostModel.gpu_time`, so there is one
+    pricing rule.  All hooks are *observational*: a tracer must not
+    mutate device or counter state and must not draw from any RNG, so
+    traced runs stay byte-identical to untraced ones.
     """
 
     def on_span_begin(self, name: str, cat: str = "span", **args) -> None:
@@ -200,17 +199,13 @@ class TracerHooks:
     def on_span_end(self, **args) -> None:
         pass
 
-    def on_launch(self, name: str, *, cat: str = "kernel.launch",
-                  items: int = 0, aborted: int = 0, word_reads: int = 0,
-                  word_writes: int = 0, atomics: int = 0, barriers: int = 0,
-                  launches: int = 1, issued_lane_steps: int = 0,
-                  critical_lane_steps: int = 0) -> None:
+    def on_launch(self, counter, name: str, **counts) -> None:
+        pass
+
+    def on_bump(self, counter, name: str, value: float) -> None:
         pass
 
     def on_gauge(self, name: str, value: float) -> None:
-        pass
-
-    def on_geometry(self, blocks: int, threads_per_block: int) -> None:
         pass
 
 
@@ -230,13 +225,6 @@ def trace_span(name: str, cat: str = "span", **args):
         yield tr
     finally:
         tr.on_span_end()
-
-
-def trace_launch(name: str, **counts) -> None:
-    """Report a completed launch/phase to the active tracer, if any."""
-    tr = TRACER.current
-    if tr is not None:
-        tr.on_launch(name, **counts)
 
 
 def trace_gauge(name: str, value: float) -> None:

@@ -26,7 +26,7 @@ import numpy as np
 from ..core.counters import OpCounter
 from ..errors import MaxRoundsExceeded
 from .device import GpuSpec, LaunchConfig, TESLA_C2070
-from .instrument import SANITIZER, TRACER, fault_kernel, trace_span
+from .instrument import SANITIZER, fault_kernel, trace_gauge, trace_span
 
 __all__ = ["KernelLauncher", "spmd_launch"]
 
@@ -52,9 +52,8 @@ class KernelLauncher:
         # Record geometry so the cost model can price barriers correctly.
         counter.scalars.setdefault("cfg_blocks", config.blocks)
         counter.scalars.setdefault("cfg_tpb", config.threads_per_block)
-        tr = TRACER.current
-        if tr is not None:
-            tr.on_geometry(config.blocks, config.threads_per_block)
+        trace_gauge("launch.blocks", config.blocks)
+        trace_gauge("launch.tpb", config.threads_per_block)
 
     def launch(self, name: str):
         return _LaunchRecorder(self, name)

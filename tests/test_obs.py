@@ -1,5 +1,6 @@
 """Unit tests for the :mod:`repro.obs` tracing subsystem: span
-nesting/ordering on the modeled clock, gauge sampling, the Chrome
+nesting/ordering on the modeled clock, the clock adding up to the
+counters' ``CostModel.gpu_time``, gauge sampling, the Chrome
 trace_event exporter and its schema validator, the metrics dict, and
 the ``BENCH_*.json`` round-trip."""
 
@@ -9,20 +10,27 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.core.counters import OpCounter
 from repro.obs import (BENCH_SCHEMA, Tracer, TraceSchemaError, chrome_trace,
                        metrics_dict, read_bench, validate_chrome_trace,
                        write_bench, write_chrome_trace)
 from repro.serve.faults import DISK_FAULTS, JOB_FAULTS
+from repro.vgpu import CostModel, KernelLauncher, LaunchConfig
 from repro.vgpu.instrument import (DEVICE_FAULTS, SANITIZER, TRACER,
-                                   trace_gauge, trace_launch, trace_span)
+                                   trace_gauge, trace_span)
 
 
-def _launch(tr: Tracer, name: str = "k", **kw):
+def _launch(tr: Tracer, name: str = "k", counter: OpCounter | None = None,
+            **kw):
+    """Record one launch on ``counter`` (a fresh one by default) while
+    ``tr`` is active."""
     kw.setdefault("items", 64)
     kw.setdefault("word_reads", 256)
     kw.setdefault("word_writes", 64)
-    tr.on_launch(name, **kw)
+    with tr.activate():
+        (counter if counter is not None else OpCounter()).launch(name, **kw)
 
 
 # --------------------------------------------------------------------- #
@@ -55,13 +63,80 @@ def test_launch_advances_modeled_clock():
 
 def test_more_work_costs_more():
     tr = Tracer()
-    cheap = tr._price_us(items=32, word_reads=32, word_writes=32, atomics=0,
-                         barriers=0, launches=1, issued_lane_steps=32,
-                         critical_lane_steps=1)
-    dear = tr._price_us(items=32_000, word_reads=32_000, word_writes=32_000,
-                        atomics=100, barriers=2, launches=1,
-                        issued_lane_steps=32_000, critical_lane_steps=10)
+    _launch(tr, "cheap", items=32, word_reads=32, word_writes=32)
+    _launch(tr, "dear", items=32_000, word_reads=32_000,
+            word_writes=32_000, atomics=100, barriers=2)
+    cheap, dear = (e.dur for e in tr.events)
     assert 0 < cheap < dear
+
+
+def test_resumed_counter_is_priced_whole_and_merge_is_silent():
+    cm = CostModel()
+    resumed = OpCounter()
+    resumed.launch("k", items=500, word_reads=9000, barriers=4)
+    resumed.bump("reallocs", 2)
+    tr = Tracer()
+    _launch(tr, "k", counter=resumed)
+    assert tr.now_us == pytest.approx(cm.gpu_time(resumed) * 1e6,
+                                      rel=1e-12)
+    before = tr.now_us
+    with tr.activate():
+        resumed.merge(resumed.copy())
+    assert tr.now_us == before and len(tr.events) == 1
+
+
+# One or two counters; their configuration scalars are recorded before
+# the first launch, as every driver does.
+_CONFIG = st.fixed_dictionaries({}, optional={
+    "barrier_kind": st.sampled_from([0.0, 1.0, 2.0]),
+    "cfg_blocks": st.sampled_from([14.0, 112.0, 224.0]),
+    "cfg_tpb": st.sampled_from([32.0, 64.0, 256.0]),
+    "fp_scale": st.sampled_from([0.5, 1.0]),
+})
+_LAUNCH = st.fixed_dictionaries({
+    "items": st.integers(0, 5_000),
+    "aborted": st.integers(0, 50),
+    "word_reads": st.integers(0, 100_000),
+    "word_writes": st.integers(0, 50_000),
+    "atomics": st.integers(0, 2_000),
+    "barriers": st.integers(0, 6),
+    "count_launch": st.booleans(),
+})
+_BUMP = st.tuples(st.sampled_from(
+    ["h2d_words", "d2h_words", "xfer_calls", "reallocs", "realloc_words",
+     "kernel_mallocs", "pta.chunks_malloced", "unpriced.tally"]),
+    st.integers(0, 10_000))
+_OPS = st.lists(st.tuples(st.integers(0, 1),
+                          st.one_of(_LAUNCH.map(lambda d: ("launch", d)),
+                                    _BUMP.map(lambda b: ("bump", b)))),
+                min_size=1, max_size=25)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(configs=st.lists(_CONFIG, min_size=1, max_size=2), ops=_OPS)
+def test_clock_equals_sum_of_gpu_time(configs, ops):
+    counters = []
+    for cfg in configs:
+        ctr = OpCounter()
+        ctr.scalars.update(cfg)
+        counters.append(ctr)
+    tr = Tracer()
+    with tr.activate():
+        for which, (kind, payload) in ops:
+            ctr = counters[which % len(counters)]
+            if kind == "launch":
+                ctr.launch("k", **payload)
+            else:
+                ctr.bump(*payload)
+    cm = CostModel()
+    want = 1e6 * sum(cm.gpu_time(c) for c in counters)
+    assert tr.now_us == pytest.approx(want, rel=1e-9, abs=1e-9)
+    # One event per report: launches are kernel launches, bumps host
+    # costs (zero-length for a tally the cost model does not price).
+    assert [e.cat for e in tr.events] == [
+        "kernel.launch" if kind == "launch" else "host" for _, (kind, _) in ops]
+    assert all(e.dur >= 0 for e in tr.events)
+    validate_chrome_trace(chrome_trace(tr))
 
 
 def test_open_spans_are_synthesized():
@@ -85,8 +160,8 @@ def test_gauge_sampling_tracks_clock():
 
 def test_geometry_emits_gauges():
     tr = Tracer()
-    tr.on_geometry(28, 128)
-    assert tr.blocks == 28 and tr.threads_per_block == 128
+    with tr.activate():
+        KernelLauncher(OpCounter(), LaunchConfig(28, 128))
     assert tr.gauges["launch.blocks"][-1][1] == 28
     assert tr.gauges["launch.tpb"][-1][1] == 128
 
@@ -98,12 +173,18 @@ def test_metrics_dict_contents():
         _launch(tr, "k1")
         _launch(tr, "k2", aborted=3)
     tr.on_gauge("occ", 7)
+    with tr.activate():
+        OpCounter().bump("xfer_calls")
     m = tr.metrics()
     assert m["modeled_us"] == pytest.approx(tr.now_us)
     assert m["span.count"] == 1          # launches are not spans
     assert m["launch.k1.count"] == 2
     assert m["launch.k2.aborted"] == 3
     assert m["launch.k1.us"] > 0
+    assert m["host.xfer_calls.count"] == 1 and m["host.xfer_calls.us"] > 0
+    priced = sum(v for k, v in m.items()
+                 if k.startswith(("launch.", "host.")) and k.endswith(".us"))
+    assert priced == pytest.approx(m["modeled_us"])
     assert m["gauge.occ.last"] == 7 and m["gauge.occ.n"] == 1
     assert metrics_dict(tr) == m
 
@@ -114,22 +195,16 @@ def test_metrics_dict_contents():
 
 def test_module_hooks_are_noops_when_inactive():
     assert TRACER.current is None
-    trace_launch("k", items=4)          # must not raise
-    trace_gauge("g", 1)
+    trace_gauge("g", 1)                 # must not raise
     with trace_span("s", cat="driver") as s:
         assert s is None
 
 
-def test_activate_and_suppress():
+def test_activate_installs_and_restores():
     tr = Tracer()
     with tr.activate():
         assert TRACER.current is tr
-        with TRACER.suppress():
-            assert TRACER.current is None
-            trace_launch("hidden", items=4)
-        assert TRACER.current is tr
     assert TRACER.current is None
-    assert "hidden" not in tr.launch_totals
 
 
 @pytest.mark.parametrize(
@@ -152,9 +227,6 @@ def test_hook_slot_contract(slot):
             with slot.activate(inner):
                 assert slot.current is inner
                 raise RuntimeError("boom")
-        assert slot.current is outer
-        with slot.suppress():
-            assert slot.current is None
         assert slot.current is outer
     assert slot.current is None
 
@@ -296,17 +368,19 @@ def test_traced_driver_end_to_end(small_mesh):
     from repro.dmr import refine_gpu
 
     tr = Tracer()
-    refine_gpu(small_mesh.copy(), tracer=tr)
+    res = refine_gpu(small_mesh.copy(), tracer=tr)
     doc = chrome_trace(tr)
     validate_chrome_trace(doc)
     cats = {e.get("cat") for e in doc["traceEvents"] if e["ph"] == "X"}
-    assert {"driver", "iteration", "conflict.phase"} <= cats
-    phases = {e["name"] for e in doc["traceEvents"]
-              if e.get("cat") == "conflict.phase"}
-    assert {"race", "prioritycheck", "check"} <= phases
+    assert {"driver", "iteration", "kernel.launch", "host"} <= cats
+    launches = {e["name"] for e in doc["traceEvents"]
+                if e.get("cat") == "kernel.launch"}
+    assert "dmr.refine" in launches
     m = tr.metrics()
-    assert m["modeled_us"] > 0
+    assert m["modeled_us"] == pytest.approx(
+        CostModel().gpu_time(res.counter) * 1e6, rel=1e-9)
     assert any(k.startswith("gauge.dmr.bad_pending") for k in m)
+    assert any(k.startswith("gauge.conflict.abort_rate") for k in m)
 
 
 def test_tracer_draws_no_rng(small_mesh):

@@ -5,7 +5,9 @@ identical results and identical OpCounter totals.
 This is the contract that makes the observability and analysis layers
 safe to leave wired in: they draw nothing from the RNG and touch no
 algorithm state, so opting in can never change what a run computes
-(or what the cost model charges for it)."""
+(or what the cost model charges for it).  In tracer mode the trace must
+also add up to the figure: the tracer's clock equals
+``CostModel.gpu_time`` of the run's counter."""
 
 from __future__ import annotations
 
@@ -15,6 +17,7 @@ import pytest
 from repro.analysis import RaceDetector
 from repro.core.counters import OpCounter
 from repro.obs import Tracer
+from repro.vgpu import CostModel
 
 MODES = ["plain", "tracer", "sanitizer"]
 
@@ -34,23 +37,29 @@ def _totals(ctr: OpCounter) -> dict:
             for name, ks in ctr}
 
 
-def _assert_same_counters(a: OpCounter, b: OpCounter, label: str):
+def _assert_same_counters(a: OpCounter, b: OpCounter, label: str,
+                          kwargs: dict):
     assert _totals(a) == _totals(b), label
+    tracer = kwargs.get("tracer")
+    if tracer is not None:
+        assert tracer.now_us == pytest.approx(
+            CostModel().gpu_time(b) * 1e6, rel=1e-9)
 
 
 @pytest.mark.parametrize("mode", MODES)
 def test_dmr_refine_stable(small_mesh, mode):
     from repro.dmr import refine_gpu
 
+    kw = _kwargs(mode)
     runs = [refine_gpu(small_mesh.copy(), **_kwargs("plain")),
-            refine_gpu(small_mesh.copy(), **_kwargs(mode))]
+            refine_gpu(small_mesh.copy(), **kw)]
     a, b = runs
     assert a.points_added == b.points_added
     assert a.rounds == b.rounds
     assert a.mesh.n_tris == b.mesh.n_tris
     assert np.array_equal(a.mesh.tri[:a.mesh.n_tris],
                           b.mesh.tri[:b.mesh.n_tris])
-    _assert_same_counters(a.counter, b.counter, mode)
+    _assert_same_counters(a.counter, b.counter, mode, kw)
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -63,10 +72,11 @@ def test_legalize_stable(mode):
         random_legal_flips(mesh, 25, seed=6)
         return legalize_gpu(mesh, seed=7, **kw), mesh
 
-    (a, ma), (b, mb) = run(_kwargs("plain")), run(_kwargs(mode))
+    kw = _kwargs(mode)
+    (a, ma), (b, mb) = run(_kwargs("plain")), run(kw)
     assert a.flips == b.flips and a.rounds == b.rounds
     assert np.array_equal(ma.tri[:ma.n_tris], mb.tri[:mb.n_tris])
-    _assert_same_counters(a.counter, b.counter, mode)
+    _assert_same_counters(a.counter, b.counter, mode, kw)
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -82,11 +92,12 @@ def test_gpu_insert_stable(mode):
         mesh = random_mesh(200, seed=9)
         return gpu_insert_points(mesh, x, y, seed=10, **kw)
 
-    a, b = run(_kwargs("plain")), run(_kwargs(mode))
+    kw = _kwargs(mode)
+    a, b = run(_kwargs("plain")), run(kw)
     assert a.inserted == b.inserted and a.rounds == b.rounds
     assert np.array_equal(a.mesh.tri[:a.mesh.n_tris],
                           b.mesh.tri[:b.mesh.n_tris])
-    _assert_same_counters(a.counter, b.counter, mode)
+    _assert_same_counters(a.counter, b.counter, mode, kw)
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -96,11 +107,12 @@ def test_boruvka_stable(mode):
 
     n, src, dst, w = random_graph(300, 1200, seed=21)
     a = boruvka_gpu(n, src, dst, w, **_kwargs("plain"))
-    b = boruvka_gpu(n, src, dst, w, **_kwargs(mode))
+    kw = _kwargs(mode)
+    b = boruvka_gpu(n, src, dst, w, **kw)
     assert a.total_weight == b.total_weight
     assert np.array_equal(a.mst_edges, b.mst_edges)
     assert a.rounds == b.rounds
-    _assert_same_counters(a.counter, b.counter, mode)
+    _assert_same_counters(a.counter, b.counter, mode, kw)
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -109,11 +121,12 @@ def test_andersen_stable(mode):
 
     cons = generate_constraints(120, 200, seed=3)
     a = andersen_pull(cons, **_kwargs("plain"))
-    b = andersen_pull(cons, **_kwargs(mode))
+    kw = _kwargs(mode)
+    b = andersen_pull(cons, **kw)
     assert a.total_facts() == b.total_facts()
     assert a.pts.equal(b.pts)
     assert a.rounds == b.rounds and a.edges_added == b.edges_added
-    _assert_same_counters(a.counter, b.counter, mode)
+    _assert_same_counters(a.counter, b.counter, mode, kw)
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -123,7 +136,8 @@ def test_solve_sp_stable(mode):
 
     cnf = random_ksat(300, 3, ratio=3.2, seed=17)
     a = solve_sp(cnf, SPConfig(seed=17), **_kwargs("plain"))
-    b = solve_sp(cnf, SPConfig(seed=17), **_kwargs(mode))
+    kw = _kwargs(mode)
+    b = solve_sp(cnf, SPConfig(seed=17), **kw)
     assert a.status == b.status
     assert a.phases == b.phases
     assert a.total_iterations == b.total_iterations
@@ -131,7 +145,7 @@ def test_solve_sp_stable(mode):
         assert b.assignment is None
     else:
         assert np.array_equal(a.assignment, b.assignment)
-    _assert_same_counters(a.counter, b.counter, mode)
+    _assert_same_counters(a.counter, b.counter, mode, kw)
 
 
 # --------------------------------------------------------------------- #

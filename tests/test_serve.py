@@ -270,8 +270,12 @@ class TestScheduler:
         assert "digest" in report.table()
         spans = [e for e in tracer.events if e.name == "serve.job"]
         assert len(spans) == 2
+        assert [s.args["service_s"] for s in spans] == \
+            [r.service_s for r in report.records]
         assert "serve.queue_depth" in tracer.gauges
         assert len(tracer.gauges["serve.service_s"]) == 2
+        # Wall seconds never reach the modeled clock.
+        assert tracer.now_us == 0
 
 
 class TestCLI:

@@ -25,7 +25,7 @@ from repro.core.counters import OpCounter
 from repro.core.engine import EngineCheckpoint
 from repro.errors import SessionStateError
 from repro.mst import kruskal
-from repro.obs import Tracer
+from repro.obs import Tracer, chrome_trace, validate_chrome_trace
 from repro.serve import CheckpointStore, Scheduler
 from repro.serve.jobs import JobSpec, estimate_cost
 from repro.sessions import (DEFAULT_FULL_THRESHOLD, MutationLog, Session,
@@ -449,6 +449,22 @@ def test_cli_unreadable_input_exits_2(tmp_path, capsys, content):
 # --------------------------------------------------------------------- #
 # Observability
 # --------------------------------------------------------------------- #
+
+@pytest.mark.parametrize("algorithm", sorted(STREAMS))
+def test_traced_stream_adds_up_to_batch_costs(algorithm):
+    """A traced session's clock equals its open cost plus every batch's
+    ``cost_s``; no event runs backwards and the trace exports valid."""
+    tracer = Tracer()
+    spec = _spec(algorithm, 15)
+    with tracer.activate():
+        session = Session.open(spec)
+        open_cost = session.full_cost_s
+        costs = [session.apply_batch(ops).cost_s for ops in spec.batches]
+    assert tracer.now_us == pytest.approx(1e6 * (open_cost + sum(costs)),
+                                          rel=1e-9)
+    assert all(e.dur >= 0 for e in tracer.events)
+    validate_chrome_trace(chrome_trace(tracer))
+
 
 def test_gauges_emitted_per_batch():
     tracer = Tracer()

@@ -2,8 +2,10 @@
 
 One *small* traced run per algorithm driver: each test runs the driver
 with a :class:`repro.obs.Tracer`, exports the Chrome trace to disk,
-re-loads it, and validates it against the schema.  These double as the
-end-to-end check that every driver's ``tracer=`` opt-in stays wired."""
+re-loads it, validates it against the schema, and checks that the trace
+adds up to ``CostModel.gpu_time`` of the run's counter.  These double as
+the end-to-end check that every driver's ``tracer=`` opt-in stays
+wired."""
 
 from __future__ import annotations
 
@@ -13,11 +15,12 @@ import numpy as np
 import pytest
 
 from repro.obs import Tracer, validate_chrome_trace, write_chrome_trace
+from repro.vgpu import CostModel
 
 pytestmark = pytest.mark.trace_smoke
 
 
-def _export_and_validate(tmp_path, tracer, name,
+def _export_and_validate(tmp_path, tracer, name, counter,
                          expect_cats=("driver", "iteration")):
     path = tmp_path / f"{name}.json"
     write_chrome_trace(path, tracer)
@@ -25,8 +28,9 @@ def _export_and_validate(tmp_path, tracer, name,
     n = validate_chrome_trace(doc)
     assert n > 0
     cats = {e.get("cat") for e in doc["traceEvents"] if e["ph"] == "X"}
-    assert set(expect_cats) <= cats, cats
-    assert tracer.metrics()["modeled_us"] > 0
+    assert {"kernel.launch", *expect_cats} <= cats, cats
+    assert tracer.metrics()["modeled_us"] == pytest.approx(
+        CostModel().gpu_time(counter) * 1e6, rel=1e-9)
     return doc
 
 
@@ -37,11 +41,11 @@ def test_trace_smoke_dmr(tmp_path):
     tr = Tracer()
     res = refine_gpu(random_mesh(300, seed=1), tracer=tr)
     assert res.converged
-    doc = _export_and_validate(tmp_path, tr, "dmr",
-                               ("driver", "iteration", "conflict.phase"))
-    phases = {e["name"] for e in doc["traceEvents"]
-              if e.get("cat") == "conflict.phase"}
-    assert {"race", "prioritycheck", "check"} <= phases
+    doc = _export_and_validate(tmp_path, tr, "dmr", res.counter,
+                               ("driver", "iteration", "host"))
+    launches = {e["name"] for e in doc["traceEvents"]
+                if e.get("cat") == "kernel.launch"}
+    assert "dmr.refine" in launches
 
 
 def test_trace_smoke_edgeflip(tmp_path):
@@ -51,8 +55,8 @@ def test_trace_smoke_edgeflip(tmp_path):
     mesh = random_mesh(200, seed=2)
     random_legal_flips(mesh, 15, seed=3)
     tr = Tracer()
-    legalize_gpu(mesh, seed=4, tracer=tr)
-    _export_and_validate(tmp_path, tr, "edgeflip")
+    res = legalize_gpu(mesh, seed=4, tracer=tr)
+    _export_and_validate(tmp_path, tr, "edgeflip", res.counter)
 
 
 def test_trace_smoke_insert(tmp_path):
@@ -65,8 +69,10 @@ def test_trace_smoke_insert(tmp_path):
                             rng.uniform(0.4, 0.6, 6),
                             rng.uniform(0.4, 0.6, 6), seed=6, tracer=tr)
     assert res.inserted == 6
-    _export_and_validate(tmp_path, tr, "insert",
-                         ("driver", "iteration", "conflict.phase"))
+    doc = _export_and_validate(tmp_path, tr, "insert", res.counter)
+    launches = {e["name"] for e in doc["traceEvents"]
+                if e.get("cat") == "kernel.launch"}
+    assert "insert.round" in launches
 
 
 def test_trace_smoke_mst(tmp_path):
@@ -75,16 +81,16 @@ def test_trace_smoke_mst(tmp_path):
 
     n, src, dst, w = random_graph(200, 800, seed=7)
     tr = Tracer()
-    boruvka_gpu(n, src, dst, w, tracer=tr)
-    _export_and_validate(tmp_path, tr, "mst")
+    res = boruvka_gpu(n, src, dst, w, tracer=tr)
+    _export_and_validate(tmp_path, tr, "mst", res.counter)
 
 
 def test_trace_smoke_pta(tmp_path):
     from repro.pta import andersen_pull, generate_constraints
 
     tr = Tracer()
-    andersen_pull(generate_constraints(80, 140, seed=8), tracer=tr)
-    _export_and_validate(tmp_path, tr, "pta")
+    res = andersen_pull(generate_constraints(80, 140, seed=8), tracer=tr)
+    _export_and_validate(tmp_path, tr, "pta", res.counter)
 
 
 def test_trace_smoke_sp(tmp_path):
@@ -92,7 +98,7 @@ def test_trace_smoke_sp(tmp_path):
     from repro.satsp.sp import SPConfig, solve_sp
 
     tr = Tracer()
-    solve_sp(random_ksat(250, 3, seed=9),
-             SPConfig(seed=9, max_iters=60, max_phases=5,
-                      require_convergence=False), tracer=tr)
-    _export_and_validate(tmp_path, tr, "sp", ("driver",))
+    res = solve_sp(random_ksat(250, 3, seed=9),
+                   SPConfig(seed=9, max_iters=60, max_phases=5,
+                            require_convergence=False), tracer=tr)
+    _export_and_validate(tmp_path, tr, "sp", res.counter, ("driver",))

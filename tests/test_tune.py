@@ -139,12 +139,19 @@ class TestProxyAndScoring:
         assert t2.modeled_gpu_s != t.modeled_gpu_s
 
     def test_score_config_emits_tracer_spans(self):
-        from repro.obs import Tracer
+        from repro.obs import Tracer, chrome_trace, validate_chrome_trace
         tracer = Tracer()
-        score_config("mst", {"num_nodes": 60, "num_edges": 180},
-                     {"barrier": "fence"}, seed=0, tracer=tracer)
-        names = [e.name for e in tracer.events]
-        assert "tune.trial" in names
+        trials = [score_config("mst", {"num_nodes": 60, "num_edges": 180},
+                               {"barrier": barrier}, seed=0, tracer=tracer)
+                  for barrier in ("fence", "naive")]
+        spans = [e for e in tracer.events if e.name == "tune.trial"]
+        assert len(spans) == 2
+        # The tracer prices each trial's counter inside its span.
+        for span, trial in zip(spans, trials):
+            assert span.args["modeled_gpu_s"] == trial.modeled_gpu_s
+            assert span.dur == pytest.approx(trial.modeled_gpu_s * 1e6,
+                                             rel=1e-9)
+        validate_chrome_trace(chrome_trace(tracer))
 
 
 # --------------------------------------------------------------------- #

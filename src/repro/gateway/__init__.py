@@ -1,11 +1,11 @@
 """repro.gateway — sharded multi-tenant serving over warm workers.
 
 The serving tier's front end: a fixed pool of prespawned worker
-processes (:mod:`repro.gateway.workers`) that import the driver stack
-once and then serve many jobs, a consistent-hash ring
-(:mod:`repro.gateway.ring`) that keeps ``(tenant, session)`` keys
-sticky to the worker holding their warm state, admission control with
-per-tenant quotas and typed backpressure
+processes (:mod:`repro.gateway.workers`, the codebase's only process
+pool) that import the driver stack once and then serve many jobs, a
+consistent-hash ring (:mod:`repro.gateway.ring`) that keeps
+``(tenant, session)`` keys sticky to the worker holding their warm
+state, admission control with per-tenant quotas and typed backpressure
 (:mod:`repro.gateway.admission`), a job-lifecycle event bus
 (:mod:`repro.gateway.events`), and a stdlib HTTP/JSON API
 (:mod:`repro.gateway.http`, ``python -m repro.gateway serve``).
@@ -20,8 +20,8 @@ from the recorded results.  See ``docs/DURABILITY.md``.
 The whole tier preserves the serving stack's core invariant: anything
 served through the gateway — plain jobs and incremental session batches
 alike, including work re-served by a crashed worker's replacement or
-requeued by crash-restart recovery — is byte-identical to the inline
-``workers=0`` path.
+requeued by crash-restart recovery — is byte-identical to inline
+:func:`repro.serve.pool.run_job`.
 """
 
 from .admission import AdmissionController, TenantQuota

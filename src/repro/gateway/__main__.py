@@ -11,8 +11,8 @@ in-process, drives the config's smoke plan over a *real* socket
 (``http.client``, not direct method calls), kills a warm worker
 mid-session on cue, and asserts
 
-* every job digest equals an inline (``workers=0``) replay of the same
-  spec,
+* every job digest equals an inline :func:`repro.serve.pool.run_job`
+  replay of the same spec,
 * every session-batch digest equals an inline
   :class:`repro.sessions.Session` replay of the same stream — including
   the batches served by the crashed worker's replacement,

@@ -17,8 +17,8 @@ service front end:
   inline: the slot is respawned deterministically (same ring arc, next
   incarnation) and every unresolved message is requeued in its
   original send order — plain jobs re-execute (deterministic by
-  construction), session batches resume from the versioned checkpoint
-  spool and answer idempotently;
+  construction), session batches resume from the newest readable
+  version in the checkpoint spool and answer idempotently;
 * with a ``journal_dir`` configured, every submission is written ahead
   to the :class:`~repro.gateway.journal.Journal` (admit, dispatch,
   checkpoint, done), so death of the *gateway process itself* is
@@ -30,16 +30,18 @@ service front end:
   re-executing.
 
 Digest identity is the invariant everything above preserves: a job
-served through the gateway runs the *same* ``_execute_job`` body as the
-``workers=0`` inline path, and a session batch applies through the same
-:class:`~repro.sessions.Session` delta planners — so results are
-byte-identical to inline replay, which the smoke step and the test
-suite assert end to end.
+served through the gateway runs the *same* ``_execute_job`` body as
+inline :func:`repro.serve.pool.run_job`, and a session batch applies
+through the same :class:`~repro.sessions.Session` delta planners — so
+results are byte-identical to inline replay, which the smoke step and
+the test suite assert end to end.  The pool is the only place the
+codebase runs jobs in worker processes.
 """
 
 from __future__ import annotations
 
 import itertools
+import re
 import tempfile
 import threading
 import time
@@ -59,6 +61,16 @@ from .ring import HashRing, shard_key
 from .workers import WorkerPool
 
 __all__ = ["Gateway", "GatewayConfig", "JobHandle"]
+
+#: A tenant names a spool directory and prefixes spool file names, so it
+#: may hold no path separator, no dot and no ``-`` (``spool_name`` joins
+#: tenant and session with ``--``, and a dash could alias two pairs).
+_TENANT_NAME = re.compile(r"[A-Za-z0-9_]+")
+
+
+def _check_tenant(tenant) -> None:
+    if not isinstance(tenant, str) or not _TENANT_NAME.fullmatch(tenant):
+        raise ValueError(f"tenant must match [A-Za-z0-9_]+, got {tenant!r}")
 
 
 @dataclass(frozen=True)
@@ -200,6 +212,8 @@ class Gateway:
             config = GatewayConfig()
         elif isinstance(config, dict):
             config = GatewayConfig.from_dict(config)
+        for tenant in config.tenants:
+            _check_tenant(tenant)
         self.config = config
         self.bus = EventBus()
         self.tracer = tracer
@@ -506,6 +520,7 @@ class Gateway:
         submission's handle or its recorded outcome instead of
         executing again.
         """
+        _check_tenant(tenant)
         if isinstance(spec, dict):
             spec = JobSpec.from_dict(spec)
         if self.pool is None:
@@ -560,6 +575,7 @@ class Gateway:
         batch submission under the same key returns the recorded batch
         result (and consumes no stream index) instead of re-applying.
         """
+        _check_tenant(tenant)
         if isinstance(session, dict):
             session = SessionSpec.from_dict(session)
         if session.batches:
@@ -626,6 +642,7 @@ class Gateway:
 
     def close_session(self, tenant: str, name: str) -> JobHandle:
         """Discard a session's warm state and spool history."""
+        _check_tenant(tenant)
         skey = (tenant, name)
         with self._lock:
             self._sessions.pop(skey, None)

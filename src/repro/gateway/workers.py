@@ -1,12 +1,10 @@
 """Prespawned, persistent warm workers over stdlib queues.
 
-``repro.serve.pool`` builds a fresh ``ProcessPoolExecutor`` per batch,
-so every batch pays process startup and the first job on each worker
-pays the driver-stack import.  This module keeps a fixed set of
-**slots**, each owned by one long-lived worker process that imports the
-driver stack once during warm-up and then serves many jobs over plain
-``multiprocessing`` queues — the fork-ahead/prespawn pattern of
-production serving tiers.
+This is the codebase's only process pool; :mod:`repro.serve` runs its
+batches inline.  It keeps a fixed set of **slots**, each owned by one
+long-lived worker process that imports the driver stack once during
+warm-up and then serves many jobs over plain ``multiprocessing``
+queues — the fork-ahead/prespawn pattern of production serving tiers.
 
 The protocol is deliberately dumb: dicts in, dicts out.
 
@@ -15,12 +13,13 @@ session batches apply in submission order on their sticky slot):
 
 * ``{"type": "job", "job_id", "tenant", "spec", "submitted_at"}`` —
   one :class:`~repro.serve.jobs.JobSpec` dict, executed by the *same*
-  :func:`repro.serve.pool._execute_job` body the inline ``workers=0``
-  path runs, so digests are byte-identical by construction;
+  :func:`repro.serve.pool._execute_job` body that inline
+  :func:`~repro.serve.pool.run_job` runs, so digests are byte-identical
+  by construction;
 * ``{"type": "session_batch", ...}`` — one mutation batch for a warm
   :class:`repro.sessions.Session` (opened cold on first touch, resumed
-  from the versioned checkpoint spool after a crash, and kept warm
-  in-process between batches);
+  from the newest readable version in the checkpoint spool after a
+  crash, and kept warm in-process between batches);
 * ``{"type": "session_close"}``, ``{"type": "ping"}``,
   ``{"type": "stop"}``.
 
@@ -53,7 +52,6 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 
 from ..core.engine import EngineCheckpoint
-from ..errors import CorruptCheckpoint
 from ..serve.checkpoint import CheckpointStore
 from ..serve.jobs import JobError, known_algorithms
 from ..serve.pool import _execute_job
@@ -94,22 +92,9 @@ def _open_session(sessions: dict, spool, msg: dict):
     session = sessions.get(key)
     if session is not None:
         return key, session
-    checkpoint = None
-    if spool is not None:
-        # Each CorruptCheckpoint quarantines the offending version
-        # (renamed out of the ``*.ckpt`` glob), so retrying falls back
-        # version-by-version through the keep-latest history before
-        # settling on a cold open.  Bounded: every iteration removes a
-        # file, so this cannot spin.
-        name = spool_name(tenant, sspec.name)
-        for _ in range(1 + spool.keep_latest):
-            try:
-                loaded = spool.load(name)
-            except CorruptCheckpoint:
-                continue        # quarantined; try the next-older version
-            if isinstance(loaded, EngineCheckpoint):
-                checkpoint = loaded
-            break
+    loaded = (spool.load_latest(spool_name(tenant, sspec.name))
+              if spool is not None else None)
+    checkpoint = loaded if isinstance(loaded, EngineCheckpoint) else None
     session = Session.open(sspec, checkpoint=checkpoint)
     sessions[key] = session
     return key, session
@@ -360,18 +345,6 @@ class WorkerPool:
 
     def all_ready(self) -> bool:
         return all(w.ready for w in self.workers.values())
-
-    def wait_ready(self, timeout: float = 60.0) -> None:
-        """Standalone pools only: consume the outbox until every worker
-        reports ready.  (Under a gateway the collector thread owns the
-        outbox and flips readiness itself.)"""
-        deadline = time.monotonic() + timeout
-        while not self.all_ready():
-            if time.monotonic() > deadline:
-                raise TimeoutError(
-                    f"workers not ready after {timeout}s: "
-                    f"{[w.name for w in self.workers.values() if not w.ready]}")
-            self.poll(timeout=0.1)
 
     def dead_slots(self) -> list[int]:
         """Slots whose worker died without being asked to stop."""

@@ -68,19 +68,16 @@ def main(argv=None) -> int:
                        help="directory for <name>.json (default: .)")
     p_rec.add_argument("--description", default="")
     p_rec.add_argument("--policy", default="fifo")
-    p_rec.add_argument("--workers", type=int, default=0)
 
     p_corpus = sub.add_parser(
         "record-corpus", help="re-record the built-in corpus definitions")
     p_corpus.add_argument("outdir", nargs="?",
                           default=str(DEFAULT_CORPUS_DIR))
-    p_corpus.add_argument("--workers", type=int, default=0)
 
     for cmd in ("replay", "verify"):
         p = sub.add_parser(cmd, help=f"{cmd} recorded scenarios")
         p.add_argument("paths", nargs="+",
                        help="scenario files or directories of them")
-        p.add_argument("--workers", type=int, default=0)
         p.add_argument("--update-golden", action="store_true",
                        help="accept replayed outcomes as the new goldens")
         p.add_argument("--report", default=None,
@@ -99,14 +96,14 @@ def main(argv=None) -> int:
             return 2
         scenario = record_scenario(args.name, specs,
                                    description=args.description,
-                                   policy=args.policy, workers=args.workers)
+                                   policy=args.policy)
         path = save_scenario(Path(args.outdir) / f"{args.name}.json",
                              scenario)
         print(f"recorded {len(specs)} jobs -> {path}")
         return 0
 
     if args.command == "record-corpus":
-        paths = record_corpus(args.outdir, workers=args.workers)
+        paths = record_corpus(args.outdir)
         for path in paths:
             scenario = load_scenario(path)
             print(f"recorded {scenario.name:24s} "
@@ -114,8 +111,7 @@ def main(argv=None) -> int:
         return 0
 
     # replay / verify
-    corpus = verify_paths(args.paths, workers=args.workers,
-                          update=args.update_golden)
+    corpus = verify_paths(args.paths, update=args.update_golden)
     _print_corpus(corpus, verbose=args.verbose)
     if args.report:
         Path(args.report).write_text(

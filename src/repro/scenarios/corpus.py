@@ -232,7 +232,7 @@ def _to_spec(entry) -> JobSpec:
     return entry if isinstance(entry, JobSpec) else JobSpec.from_dict(entry)
 
 
-def record_corpus(outdir: str | Path, *, workers: int = 0) -> list[Path]:
+def record_corpus(outdir: str | Path) -> list[Path]:
     """Record every corpus definition into ``outdir``; returns the paths."""
     outdir = Path(outdir)
     paths = []
@@ -240,20 +240,19 @@ def record_corpus(outdir: str | Path, *, workers: int = 0) -> list[Path]:
         specs = [_to_spec(s) for s in d["specs"]]
         scenario = record_scenario(
             d["name"], specs, description=d.get("description", ""),
-            policy=d.get("policy", "fifo"), workers=workers)
+            policy=d.get("policy", "fifo"))
         paths.append(save_scenario(outdir / f"{d['name']}.json", scenario))
     return paths
 
 
-def record_one(name: str, outdir: str | Path, *,
-               workers: int = 0) -> Path:
+def record_one(name: str, outdir: str | Path) -> Path:
     """Record a single named corpus definition into ``outdir``."""
     for d in corpus_definitions():
         if d["name"] == name:
             specs = [_to_spec(s) for s in d["specs"]]
             scenario = record_scenario(
                 name, specs, description=d.get("description", ""),
-                policy=d.get("policy", "fifo"), workers=workers)
+                policy=d.get("policy", "fifo"))
             return save_scenario(Path(outdir) / f"{name}.json", scenario)
     known = ", ".join(d["name"] for d in corpus_definitions())
     raise KeyError(f"unknown corpus scenario {name!r}; known: {known}")

@@ -64,22 +64,20 @@ def scenario_environment():
                 os.environ["REPRO_TUNE_CACHE"] = prev_cache
 
 
-def run_batch(specs, *, policy: str = "fifo", workers: int = 0,
-              tracer=None) -> ScenarioRecorder:
+def run_batch(specs, *, policy: str = "fifo", tracer=None) -> ScenarioRecorder:
     """Run ``specs`` hermetically; returns the populated recorder."""
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}; known: {POLICIES}")
     recorder = ScenarioRecorder()
     with scenario_environment() as checkpoint_dir:
-        scheduler = Scheduler(workers=workers, policy=policy,
-                              checkpoint_dir=checkpoint_dir,
+        scheduler = Scheduler(policy=policy, checkpoint_dir=checkpoint_dir,
                               tracer=tracer, recorder=recorder)
         scheduler.run_batch(specs)
     return recorder
 
 
 def record_scenario(name: str, specs, *, description: str = "",
-                    policy: str = "fifo", workers: int = 0) -> Scenario:
+                    policy: str = "fifo") -> Scenario:
     """Run ``specs`` once and return the scenario with fresh goldens.
 
     Job names must be unique — they key the golden table.
@@ -90,6 +88,6 @@ def record_scenario(name: str, specs, *, description: str = "",
         dupes = sorted({n for n in names if names.count(n) > 1})
         raise ValueError(f"job names must be unique within a scenario; "
                          f"duplicated: {', '.join(dupes)}")
-    recorder = run_batch(specs, policy=policy, workers=workers)
+    recorder = run_batch(specs, policy=policy)
     return Scenario(name=name, specs=specs, golden=recorder.goldens(),
                     description=description, policy=policy)

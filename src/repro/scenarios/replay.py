@@ -1,9 +1,10 @@
 """Replay: re-run a recorded scenario, diff against its goldens.
 
 Replay is deliberately *not* a special execution mode — it runs the
-specs through the same :class:`~repro.serve.scheduler.Scheduler`, pool,
-fault injectors, and driver adapters as the original recording, inside
-the same hermetic environment (:func:`~.record.scenario_environment`).
+specs through the same :class:`~repro.serve.scheduler.Scheduler`, job
+body, fault injectors, and driver adapters as the original recording,
+inside the same hermetic environment
+(:func:`~.record.scenario_environment`).
 What replay adds is the **diff**: per job it compares status, result
 digest, scalar summary, per-kernel op-counter totals, attempt count,
 resume round, degradation flag, and the resilience-event log against
@@ -93,8 +94,8 @@ class ReplayReport:
                 "jobs": [j.to_dict() for j in self.jobs]}
 
 
-def replay_scenario(scenario: Scenario, *, workers: int = 0,
-                    tracer=None) -> tuple[ReplayReport, ScenarioRecorder]:
+def replay_scenario(scenario: Scenario, *, tracer=None
+                    ) -> tuple[ReplayReport, ScenarioRecorder]:
     """Re-run ``scenario`` and diff every job against its golden.
 
     Returns the report plus the recorder (whose fresh records back
@@ -107,8 +108,7 @@ def replay_scenario(scenario: Scenario, *, workers: int = 0,
         tracer.on_span_begin("scenario.replay", cat="scenario",
                              scenario=scenario.name,
                              jobs=len(scenario.specs))
-    recorder = run_batch(scenario.specs, policy=scenario.policy,
-                         workers=workers, tracer=tracer)
+    recorder = run_batch(scenario.specs, policy=scenario.policy, tracer=tracer)
     report = ReplayReport(scenario=scenario.name)
     seen = set()
     for record in recorder.records:
@@ -154,8 +154,8 @@ class CorpusReport:
                            for p, m in self.errors]}
 
 
-def verify_paths(targets, *, workers: int = 0, update: bool = False,
-                 tracer=None) -> CorpusReport:
+def verify_paths(targets, *, update: bool = False, tracer=None
+                 ) -> CorpusReport:
     """Replay every scenario file in ``targets`` (files or directories).
 
     With ``update=True``, scenarios whose replay mismatched are
@@ -171,8 +171,7 @@ def verify_paths(targets, *, workers: int = 0, update: bool = False,
         except (CorruptScenario, FileNotFoundError) as exc:
             corpus.errors.append((Path(path), str(exc)))
             continue
-        report, recorder = replay_scenario(scenario, workers=workers,
-                                           tracer=tracer)
+        report, recorder = replay_scenario(scenario, tracer=tracer)
         report.path = str(path)
         if update and not report.ok:
             scenario.golden = recorder.goldens()

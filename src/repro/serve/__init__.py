@@ -7,8 +7,9 @@ points-to analysis, Boruvka MST, and the generic morph engine) as a
 
 * :mod:`.jobs` — :class:`JobSpec` (algorithm + input-generator params +
   strategy + seed + robustness envelope) and the adapter registry;
-* :mod:`.pool` — process-pool execution with per-job cooperative
-  timeouts, bounded exponential-backoff retries, and checkpoint resume;
+* :mod:`.pool` — inline job execution with per-job cooperative
+  timeouts, bounded exponential-backoff retries, and checkpoint resume
+  (the same job body the gateway's warm workers run);
 * :mod:`.checkpoint` — durable, atomically-written round-state
   checkpoints;
 * :mod:`.faults` — deterministic kill/delay and disk fault injection,
@@ -17,9 +18,13 @@ points-to analysis, Boruvka MST, and the generic morph engine) as a
 * :mod:`.scheduler` — FIFO / SJF batch ordering, per-job tracer spans
   and queue gauges, and the :class:`BatchReport` summary.
 
+This package is the inline, deterministic reference runner: a batch
+runs job after job in the calling process.  Worker processes belong to
+:mod:`repro.gateway`, which runs the same job body.
+
 Run a batch from the shell::
 
-    python -m repro.serve examples/serve_jobs.json --workers 2 --policy sjf
+    python -m repro.serve examples/serve_jobs.json --policy sjf
 """
 
 from .checkpoint import CheckpointStore, dumps_state, loads_state
@@ -32,7 +37,7 @@ from .mutations import (OPS_BY_ALGORITHM, GraphMutationEffect,
                         apply_clause_mutations, apply_constraint_mutations,
                         apply_graph_mutations, apply_graph_mutations_tracked,
                         apply_point_mutations, check_mutations)
-from .pool import JobRecord, JobTimeout, run_job, submit_batch
+from .pool import JobRecord, JobTimeout, run_job
 from .scheduler import BatchReport, Scheduler, order_jobs
 
 __all__ = [
@@ -46,6 +51,6 @@ __all__ = [
     "apply_graph_mutations", "apply_graph_mutations_tracked",
     "apply_clause_mutations", "apply_constraint_mutations",
     "apply_point_mutations",
-    "JobRecord", "JobTimeout", "run_job", "submit_batch",
+    "JobRecord", "JobTimeout", "run_job",
     "BatchReport", "Scheduler", "order_jobs",
 ]

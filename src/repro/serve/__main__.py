@@ -2,13 +2,14 @@
 
 Usage::
 
-    python -m repro.serve JOBS.json [--workers N] [--policy fifo|sjf]
+    python -m repro.serve JOBS.json [--policy fifo|sjf]
                           [--checkpoint-dir DIR] [--tune-cache PATH]
                           [--out RESULTS.json]
 
 The job file is either a JSON list of job-spec dicts or an object with
-a ``"jobs"`` list (see ``examples/serve_jobs.json``).  Exit status is 1
-when any job ends ``failed`` after exhausting its retries.
+a ``"jobs"`` list (see ``examples/serve_jobs.json``).  Jobs run inline,
+one after another.  Exit status is 1 when any job ends ``failed``
+after exhausting its retries.
 """
 
 from __future__ import annotations
@@ -35,8 +36,6 @@ def main(argv=None) -> int:
         prog="python -m repro.serve",
         description="Run a batch of morph jobs through the scheduler.")
     ap.add_argument("jobfile", help="JSON job file (list or {'jobs': [...]})")
-    ap.add_argument("--workers", type=int, default=0,
-                    help="worker processes (0 = inline, deterministic)")
     ap.add_argument("--policy", choices=POLICIES, default="fifo")
     ap.add_argument("--checkpoint-dir", default=None,
                     help="spool directory for round-state checkpoints")
@@ -49,17 +48,15 @@ def main(argv=None) -> int:
 
     specs = load_jobs(args.jobfile)
     if args.tune_cache:
-        # Adapters resolve strategy="auto" through the ambient cache
-        # path; workers inherit the environment.
+        # Adapters resolve strategy="auto" through the ambient cache path.
         os.environ["REPRO_TUNE_CACHE"] = args.tune_cache
-    sched = Scheduler(workers=args.workers, policy=args.policy,
-                      checkpoint_dir=args.checkpoint_dir,
+    sched = Scheduler(policy=args.policy, checkpoint_dir=args.checkpoint_dir,
                       tune_cache=args.tune_cache)
     report = sched.run_batch(specs)
 
     print(report.table())
     print(f"\n{len(report.records)} jobs, policy={report.policy}, "
-          f"workers={report.workers}, wall {report.wall_s:.3f}s, "
+          f"wall {report.wall_s:.3f}s, "
           f"mean queue wait {report.mean_queue_wait_s():.3f}s")
     for rec in report.failed:
         for msg in rec.failures:

@@ -22,10 +22,11 @@ crashes:
   :mod:`repro.serve.faults` ``torn_write``/``enospc`` injection the
   durability property suite drives.  A corrupt or unreadable file is
   *quarantined* on load — renamed to ``<name>.ckpt.corrupt`` so the
-  evidence survives, mirroring :class:`repro.tune.TuningCache` — and the
-  typed :class:`repro.errors.CorruptCheckpoint` is raised so the caller
-  (the pool's attempt loop) decides explicitly that a clean restart is
-  the right response, rather than the store silently deciding for it.
+  evidence survives, mirroring :class:`repro.tune.TuningCache`.
+  :meth:`CheckpointStore.load` then raises the typed
+  :class:`repro.errors.CorruptCheckpoint`;
+  :meth:`CheckpointStore.load_latest`, which every resuming caller
+  uses, walks back to the newest checkpoint that still reads.
 """
 
 from __future__ import annotations
@@ -140,6 +141,21 @@ class CheckpointStore:
                 f"({type(exc).__name__}: {exc}); quarantined to "
                 f"{quarantined}", path=path,
                 quarantined=quarantined) from exc
+
+    def load_latest(self, job_name: str):
+        """The newest checkpoint of ``job_name`` that reads back, or
+        ``None`` when none does.
+
+        Each unreadable file is quarantined on the way (:meth:`load`
+        moves it out of the ``*.ckpt`` glob), so every pass removes one
+        file and the walk ends: newest version first, then older ones,
+        then the unversioned slot.
+        """
+        while True:
+            try:
+                return self.load(job_name)
+            except CorruptCheckpoint:
+                continue
 
     def clear(self, job_name: str) -> None:
         """Drop ``job_name``'s checkpoints (called after a clean finish),

@@ -6,9 +6,9 @@ strategy configuration (conflict scheme, barrier model, worklist and
 addition/deletion choices — whatever the driver understands), the seed,
 and the robustness envelope (timeout, retries, checkpoint cadence,
 fault plan).  Specs are plain data — JSON-able for the
-``python -m repro.serve`` CLI and picklable for the worker pool — and
-deterministic: the same spec always produces byte-identical results,
-which is what makes retry-after-failure and cross-worker-count
+``python -m repro.serve`` CLI and picklable for the gateway's workers —
+and deterministic: the same spec always produces byte-identical
+results, which is what makes retry-after-failure and inline-vs-gateway
 comparisons meaningful.
 
 The registry maps algorithm names to *adapters*.  Each driver module
@@ -145,9 +145,9 @@ class JobResult:
 def digest_arrays(arrays, extra: Mapping | None = None) -> str:
     """SHA-256 over result arrays (dtype+shape+bytes) and scalar facts.
 
-    This is the byte-identity witness: two runs of the same spec — on
-    different worker counts, or interrupted and resumed — must produce
-    the same digest.
+    This is the byte-identity witness: two runs of the same spec —
+    inline or through the gateway, or interrupted and resumed — must
+    produce the same digest.
     """
     h = hashlib.sha256()
     for a in arrays:

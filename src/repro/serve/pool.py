@@ -1,22 +1,22 @@
-"""Worker-pool job execution with timeouts, retries, and resume.
+"""Job execution with timeouts, retries, and resume.
 
 The execution model mirrors a small production queue:
 
-* **Processes, not threads.**  Jobs run in a
-  :class:`concurrent.futures.ProcessPoolExecutor`; each worker imports
-  the driver stack once and then serves many jobs.  ``workers=0``
-  selects an inline, in-process path with identical semantics — that is
-  the mode determinism tests use, and it is also what makes
-  cross-worker-count byte-identity checks meaningful (the same
-  :func:`_execute_job` body runs either way).
+* **One job body.**  :func:`_execute_job` runs a job to completion in
+  the calling process.  :func:`run_job` and the
+  :class:`~repro.serve.scheduler.Scheduler` call it inline, which is
+  the deterministic reference path; the gateway's warm worker processes
+  (:class:`repro.gateway.workers.WorkerPool`) call the same function,
+  which is what makes inline-vs-gateway byte-identity checks
+  meaningful.
 
-* **Retries live inside the worker.**  A pool cannot kill a single
-  worker process, so per-attempt control (fault injection, cooperative
-  timeout, exponential backoff, checkpoint restore) happens in an
-  attempt loop inside :func:`_execute_job` rather than by resubmitting
-  futures.  Every attempt gets a *fresh* :class:`OpCounter`; a failed
-  attempt's partial tallies are discarded, so the totals of a
-  retried-and-resumed job equal those of an uninterrupted run.
+* **Retries live inside the job body.**  Per-attempt control (fault
+  injection, cooperative timeout, exponential backoff, checkpoint
+  restore) happens in an attempt loop inside :func:`_execute_job`, so
+  a gateway worker retries without a round trip to the parent.  Every
+  attempt gets a *fresh* :class:`OpCounter`; a failed attempt's
+  partial tallies are discarded, so the totals of a retried-and-resumed
+  job equal those of an uninterrupted run.
 
 * **Timeouts are cooperative.**  The engine's ``round_hook`` checks a
   wall-clock deadline at each round boundary and raises
@@ -28,27 +28,25 @@ The execution model mirrors a small production queue:
 * **Checkpoints make retries cheap.**  When a spec carries
   ``checkpoint_every > 0`` and the batch has a checkpoint directory,
   each attempt first consults the :class:`CheckpointStore`; a fresh
-  attempt resumes from the last durable round (restoring the engine's
-  RNG state and counter) instead of restarting.
+  attempt resumes from the newest readable checkpoint (restoring the
+  engine's RNG state and counter) instead of restarting.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 from ..core.counters import OpCounter
 from ..core.engine import EngineCheckpoint
-from ..errors import CorruptCheckpoint
 from ..resilience import Resilience
 from .checkpoint import CheckpointStore
 from .faults import DISK_FAULTS, JOB_FAULTS, FaultInjected, FaultInjector
 from .jobs import (JobContext, JobError, JobResult, JobSpec, digest_arrays,
                    get_adapter)
 
-__all__ = ["JobRecord", "JobTimeout", "run_job", "submit_batch"]
+__all__ = ["JobRecord", "JobTimeout", "run_job"]
 
 
 class JobTimeout(JobError):
@@ -85,10 +83,11 @@ class JobRecord:
 
 def _execute_job(spec_dict: dict, checkpoint_dir: str | None,
                  submitted_at: float) -> JobRecord:
-    """Run one job to completion (or exhaustion) inside a worker.
+    """Run one job to completion (or exhaustion) in this process.
 
-    Module-level so it pickles for ``ProcessPoolExecutor``; takes the
-    spec as a dict for the same reason.
+    Takes the spec as a dict because that is how it reaches a gateway
+    worker; ``submitted_at`` is the ``time.monotonic()`` the job was
+    queued at, so ``queue_wait_s`` measures the wait behind earlier jobs.
     """
     spec = JobSpec.from_dict(spec_dict)
     record = JobRecord(spec=spec)
@@ -109,7 +108,7 @@ def _execute_job(spec_dict: dict, checkpoint_dir: str | None,
                        if spec.fault is not None else None)
         resil = (Resilience(faults=device_plan)
                  if spec.resilience else None)
-        # Without resilience the pool installs the device injector
+        # Without resilience the job body installs the device injector
         # itself, so the typed fault propagates as a retryable failure;
         # with it, the adapter's maybe_activate_resilience installs it.
         device_cm = (device_plan.injector().activate()
@@ -123,12 +122,7 @@ def _execute_job(spec_dict: dict, checkpoint_dir: str | None,
         deadline = (time.monotonic() + spec.timeout_s
                     if spec.timeout_s is not None else None)
 
-        try:
-            resume = store.load(spec.name) if store is not None else None
-        except CorruptCheckpoint:
-            # The store already quarantined the file; a clean restart is
-            # the documented fallback for a lost checkpoint.
-            resume = None
+        resume = store.load_latest(spec.name) if store is not None else None
         counter = (resume.counter if isinstance(resume, EngineCheckpoint)
                    else OpCounter())
 
@@ -196,25 +190,5 @@ def _execute_job(spec_dict: dict, checkpoint_dir: str | None,
 
 
 def run_job(spec: JobSpec, checkpoint_dir: str | None = None) -> JobRecord:
-    """Execute one spec inline (the ``workers=0`` path)."""
+    """Execute one spec inline, in this process."""
     return _execute_job(spec.to_dict(), checkpoint_dir, time.monotonic())
-
-
-def submit_batch(specs, *, workers: int = 0,
-                 checkpoint_dir: str | None = None) -> list[JobRecord]:
-    """Run ``specs`` and return records in submission order.
-
-    ``workers=0`` runs every job inline in this process (deterministic,
-    no pickling); ``workers>=1`` fans out over a fresh process pool,
-    with results still reported in submission order.  Long-lived callers
-    that want warm workers use :class:`repro.gateway.workers.WorkerPool`.
-    """
-    specs = list(specs)
-    if workers <= 0:
-        return [run_job(s, checkpoint_dir) for s in specs]
-    submitted = time.monotonic()
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(_execute_job, s.to_dict(), checkpoint_dir,
-                               submitted)
-                   for s in specs]
-        return [f.result() for f in futures]

@@ -1,7 +1,8 @@
 """Batch scheduling policies and the serving front-end.
 
-The scheduler decides *order*; the pool (:mod:`repro.serve.pool`)
-decides *execution*.  Two classic policies are provided:
+The scheduler decides *order* and runs the ordered batch inline, one
+job after another, through the job body in :mod:`repro.serve.pool`.
+Two classic policies are provided:
 
 * ``fifo`` — jobs run in submission order;
 * ``sjf`` — shortest-job-first by the cost proxy
@@ -17,10 +18,10 @@ Observability rides along: when given a :class:`repro.obs.Tracer`, the
 scheduler emits one ``serve.job`` span per job (annotated with status,
 attempts, resume round and the measured wall ``service_s``) and
 ``serve.queue_wait_s`` / ``serve.service_s`` / ``serve.queue_depth``
-gauges.  Jobs execute in worker processes where the batch tracer is not
-installed, so spans are reconstructed on the scheduler side from each
-record.  They do not advance the tracer's clock: that axis is modeled
-GPU time, and wall seconds never share it.
+gauges.  The scheduler does not activate the tracer while jobs
+execute, so the drivers' launches never reach it; spans are rebuilt
+from each record once the batch settles.  They do not advance the tracer's clock: that axis is
+modeled GPU time, and wall seconds never share it.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .jobs import JobSpec, estimate_cost
-from .pool import JobRecord, submit_batch
+from .pool import JobRecord, _execute_job
 
 __all__ = ["BatchReport", "Scheduler", "order_jobs"]
 
@@ -59,7 +60,6 @@ class BatchReport:
 
     records: list[JobRecord]
     policy: str
-    workers: int
     wall_s: float
 
     @property
@@ -96,8 +96,7 @@ class BatchReport:
 
     def to_dict(self) -> dict:
         return {
-            "policy": self.policy, "workers": self.workers,
-            "wall_s": self.wall_s, "ok": self.ok,
+            "policy": self.policy, "wall_s": self.wall_s, "ok": self.ok,
             "jobs": [{
                 "name": r.spec.name, "algorithm": r.spec.algorithm,
                 "status": r.status, "attempts": r.attempts,
@@ -112,9 +111,8 @@ class BatchReport:
 
 @dataclass
 class Scheduler:
-    """Order a batch by policy, run it on the pool, report the outcome."""
+    """Order a batch by policy, run it inline, report the outcome."""
 
-    workers: int = 0
     policy: str = "fifo"
     checkpoint_dir: str | None = None
     #: optional :class:`repro.obs.Tracer`; spans/gauges are emitted per job
@@ -150,24 +148,29 @@ class Scheduler:
 
         ``specs`` may mix :class:`repro.sessions.SessionSpec` entries
         (folded into session jobs via ``to_job_spec``) and plain
-        :class:`JobSpec` entries; scheduling, pooling, tracing, and
-        recording behave exactly as for :meth:`run_batch`.
+        :class:`JobSpec` entries; scheduling, tracing, and recording
+        behave exactly as for :meth:`run_batch`.
         """
         return self.run_batch([
             s.to_job_spec() if hasattr(s, "to_job_spec") else s
             for s in specs])
 
     def run_batch(self, specs) -> BatchReport:
+        """Run ``specs`` in policy order; records keep that order.
+
+        The whole batch is submitted at once, so each job's
+        ``queue_wait_s`` is the time it spent behind the jobs ahead.
+        """
         ordered = order_jobs(specs, self.policy,
                              tune_cache=self._tune_cache())
         if self.tracer is not None:
             self.tracer.on_gauge("serve.queue_depth", len(ordered))
         t0 = time.monotonic()
-        records = submit_batch(ordered, workers=self.workers,
-                               checkpoint_dir=self.checkpoint_dir)
+        records = [_execute_job(s.to_dict(), self.checkpoint_dir, t0)
+                   for s in ordered]
         wall_s = time.monotonic() - t0
         report = BatchReport(records=records, policy=self.policy,
-                             workers=self.workers, wall_s=wall_s)
+                             wall_s=wall_s)
         self._trace(report)
         if self.recorder is not None:
             for r in records:

@@ -107,15 +107,12 @@ class Session:
              resilience=None, checkpoint: EngineCheckpoint | None = None,
              store=None) -> "Session":
         """Open a session: resume from a checkpoint if one is given (or
-        found in ``store``), otherwise cold-solve the initial input."""
+        the newest readable one in ``store``), otherwise cold-solve the
+        initial input."""
         from ..tune import resolve_strategy
 
         if checkpoint is None and store is not None:
-            from ..errors import CorruptCheckpoint
-            try:
-                loaded = store.load(spec.name)
-            except CorruptCheckpoint:
-                loaded = None    # quarantined; cold start is documented
+            loaded = store.load_latest(spec.name)
             if isinstance(loaded, EngineCheckpoint):
                 checkpoint = loaded
         if checkpoint is not None:

@@ -5,13 +5,13 @@ Two layers, matching how the subsystem runs in CI:
 * **Logic tests** (tier-1, no processes): consistent-hash ring
   determinism and placement stability, admission-control quota paths
   and ledger transitions, event-bus semantics, scheduler policy
-  validation, the inline :func:`repro.serve.pool.submit_batch` path,
-  and the multi-tenant checkpoint-spool isolation the warm workers rely
-  on (no cross-prune, no cross-resume).
+  validation, the inline :class:`repro.serve.Scheduler` batch path,
+  tenant-name validation, and the multi-tenant checkpoint-spool
+  isolation the warm workers rely on (no cross-prune, no cross-resume).
 
 * **Pool tests** (``--gateway``, spawn real warm workers): end-to-end
-  digest identity against the inline ``workers=0`` path over both the
-  Python API and the HTTP front end, sticky session placement,
+  digest identity against inline :func:`repro.serve.pool.run_job` over
+  both the Python API and the HTTP front end, sticky session placement,
   health pings, and the chaos path — kill a warm worker mid-session
   and assert the replacement resumes from the versioned spool with
   byte-identical digests.
@@ -34,7 +34,7 @@ from repro.gateway import (EVENTS, AdmissionController, EventBus, Gateway,
 from repro.gateway.http import make_server, serve_in_thread
 from repro.serve import CheckpointStore, Scheduler
 from repro.serve.jobs import JobSpec
-from repro.serve.pool import run_job, submit_batch
+from repro.serve.pool import run_job
 from repro.serve.scheduler import POLICIES
 from repro.sessions import Session, SessionSpec
 
@@ -258,15 +258,40 @@ class TestSchedulerPolicy:
         assert "bogus" in proc.stderr
 
 
-class TestExecutorInjection:
-    """``submit_batch`` takes no injected executor: ``workers=0`` runs
-    inline, ``workers>=1`` a fresh process pool."""
+class TestInlineScheduler:
+    """The scheduler runs its batch inline through the same job body as
+    :func:`run_job`, so a batch gives ``run_job``'s digests."""
 
-    def test_workers_zero_stays_inline(self):
-        # workers=0: the byte-identical inline path, no process pool.
-        records = submit_batch(JOB_SPECS, workers=0)
+    def test_batch_digests_match_run_job(self):
+        records = Scheduler().run_batch(JOB_SPECS).records
         assert [r.result.digest for r in records] == \
             [run_job(s).result.digest for s in JOB_SPECS]
+
+
+class TestTenantNames:
+    """A tenant names a spool directory and prefixes spool files, so a
+    name that could leave the spool or alias another tenant's files is
+    refused before the gateway looks at anything else."""
+
+    @pytest.mark.parametrize("tenant", ["../escaped", "/tmp/x", "", ".",
+                                        "..", "a/b", "a-b"])
+    def test_bad_tenant_rejected_before_start(self, tenant):
+        gateway = Gateway(GatewayConfig(default_quota=TenantQuota()))
+        with pytest.raises(ValueError, match="tenant"):
+            gateway.submit(tenant, JOB_SPECS[0])
+        with pytest.raises(ValueError, match="tenant"):
+            gateway.session_batch(tenant, SESSION_SPEC, SESSION_BATCHES[0])
+        with pytest.raises(ValueError, match="tenant"):
+            gateway.close_session(tenant, SESSION_SPEC["name"])
+
+    def test_bad_configured_tenant_rejected(self):
+        with pytest.raises(ValueError, match="tenant"):
+            Gateway(GatewayConfig(tenants={"a-b": TenantQuota()}))
+
+    def test_good_tenant_reaches_the_start_check(self):
+        gateway = Gateway(GatewayConfig(default_quota=TenantQuota()))
+        with pytest.raises(Overloaded, match="not started"):
+            gateway.submit("t0", JOB_SPECS[0])
 
 
 # --------------------------------------------------------------------- #
@@ -468,6 +493,12 @@ class TestGatewayHTTP:
         status, _ = self._request(conn, "POST", "/v1/jobs",
                                   {"tenant": "acme"})
         assert status == 400
+
+    def test_bad_tenant_400(self, conn):
+        status, body = self._request(
+            conn, "POST", "/v1/jobs",
+            {"tenant": "../escaped", "job": JOB_SPECS[0].to_dict()})
+        assert status == 400 and "tenant" in body["error"]
 
 
 @pytest.mark.gateway

@@ -149,7 +149,8 @@ def test_solve_sp_stable(mode):
 
 
 # --------------------------------------------------------------------- #
-# Serving: results must be independent of worker count and of           #
+# Serving: results must be independent of where a job runs (inline or   #
+# in the gateway's worker processes, at any worker count) and of        #
 # interruption (checkpoint/resume).                                     #
 # --------------------------------------------------------------------- #
 
@@ -172,13 +173,18 @@ def _serve_fingerprint(records):
 
 
 def test_serve_results_stable_across_worker_counts():
-    from repro.serve import submit_batch
+    from repro.gateway import Gateway, GatewayConfig, TenantQuota
+    from repro.serve import run_job
 
-    base = _serve_fingerprint(submit_batch(_serve_batch(), workers=0))
+    base = _serve_fingerprint(run_job(s) for s in _serve_batch())
     for workers in (1, 2, 4):
-        got = _serve_fingerprint(
-            submit_batch(_serve_batch(), workers=workers))
-        assert got == base, f"workers={workers}"
+        config = GatewayConfig(workers=workers, default_quota=TenantQuota())
+        with Gateway(config) as gateway:
+            handles = gateway.submit_batch("t", _serve_batch())
+            records = [h.wait(300).record for h in handles]
+        assert all(r is not None and r.ok for r in records), \
+            f"workers={workers}"
+        assert _serve_fingerprint(records) == base, f"workers={workers}"
 
 
 def test_serve_checkpoint_resume_matches_uninterrupted(tmp_path):

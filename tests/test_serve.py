@@ -13,8 +13,7 @@ from repro.core.engine import EngineCheckpoint, MorphStats
 from repro.serve import (DISK_KINDS, CheckpointStore, FaultInjected,
                          FaultInjector, FaultPlan, JobSpec, Scheduler,
                          dumps_state, estimate_cost, get_adapter,
-                         known_algorithms, loads_state, order_jobs, run_job,
-                         submit_batch)
+                         known_algorithms, loads_state, order_jobs, run_job)
 from repro.serve.__main__ import main as serve_main
 
 ALGO_PARAMS = {
@@ -139,14 +138,29 @@ class TestCheckpointStore:
         assert store.load("bad") is None
 
     def test_corrupt_checkpoint_falls_back_to_clean_restart(self, tmp_path):
-        """A poisoned checkpoint must not wedge the job: the pool treats
-        it as no-checkpoint and the attempt restarts from round zero."""
+        """A poisoned checkpoint must not wedge the job: with no older
+        one to fall back to, the attempt restarts from round zero."""
         store = CheckpointStore(tmp_path)
         store.path("resumable").write_bytes(b"\x80garbage")
         rec = run_job(_engine_spec(), checkpoint_dir=str(tmp_path))
         clean = run_job(_engine_spec(name="clean"))
         assert rec.ok and rec.resumed_round == 0
         assert rec.result.digest == clean.result.digest
+
+    def test_load_latest_walks_back_past_unreadable_files(self, tmp_path):
+        store = CheckpointStore(tmp_path)
+        store.save("sess", {"slot": True})          # unversioned slot
+        for v in (1, 2, 3):
+            store.save("sess", {"v": v}, version=v)
+        store.path("sess", 3).write_bytes(b"torn")
+        store.path("sess", 2).write_bytes(b"torn")
+        assert store.load_latest("sess") == {"v": 1}
+        assert store.versions("sess") == [1]
+        assert len(list(tmp_path.glob("*.ckpt.corrupt"))) == 2
+        store.path("sess", 1).write_bytes(b"torn")
+        assert store.load_latest("sess") == {"slot": True}
+        store.path("sess").write_bytes(b"torn")
+        assert store.load_latest("sess") is None
 
     def test_job_names_are_sanitized(self, tmp_path):
         store = CheckpointStore(tmp_path)
@@ -252,19 +266,11 @@ class TestScheduler:
         with pytest.raises(ValueError):
             order_jobs([], "lifo")
 
-    def test_inline_and_pool_digests_match(self):
-        specs = self._batch()[:3]
-        inline = {r.spec.name: r.result.digest
-                  for r in submit_batch(specs, workers=0)}
-        pooled = {r.spec.name: r.result.digest
-                  for r in submit_batch(specs, workers=2)}
-        assert inline == pooled
-
     def test_batch_report_and_tracer(self):
         from repro.obs import Tracer
 
         tracer = Tracer()
-        sched = Scheduler(workers=0, policy="sjf", tracer=tracer)
+        sched = Scheduler(policy="sjf", tracer=tracer)
         report = sched.run_batch(self._batch()[:2])
         assert report.ok and report.wall_s > 0
         assert "digest" in report.table()
@@ -276,6 +282,17 @@ class TestScheduler:
         assert len(tracer.gauges["serve.service_s"]) == 2
         # Wall seconds never reach the modeled clock.
         assert tracer.now_us == 0
+
+    def test_queue_wait_counts_the_jobs_ahead(self):
+        """The batch is submitted at once, so each job waits out the
+        service time of every job ahead of it."""
+        specs = [s for s in self._batch()
+                 if s.algorithm in ("engine", "mst", "sp")]
+        report = Scheduler(policy="fifo").run_batch(specs)
+        assert report.ok
+        for prev, cur in zip(report.records, report.records[1:]):
+            assert cur.queue_wait_s >= prev.queue_wait_s + prev.service_s
+        assert report.mean_queue_wait_s() > 0
 
 
 class TestCLI:
@@ -290,7 +307,7 @@ class TestCLI:
              "fault": {"kind": "kill", "attempts": [1], "at_round": 3}},
         ]}))
         out = tmp_path / "report.json"
-        rc = serve_main([str(jobfile), "--workers", "0", "--policy", "sjf",
+        rc = serve_main([str(jobfile), "--policy", "sjf",
                          "--checkpoint-dir", str(tmp_path / "ckpt"),
                          "--out", str(out)])
         assert rc == 0

@@ -340,6 +340,23 @@ def test_store_versions_are_pruned(tmp_path):
     assert resumed.applied_batches == 4
 
 
+def test_open_walks_back_past_a_torn_newest_checkpoint(tmp_path):
+    """A torn newest version is quarantined, and the session resumes
+    from the newest version that still reads instead of going cold."""
+    spec = _spec("mst", 15)
+    store = CheckpointStore(tmp_path)
+    session = Session.open(spec)
+    for ops in spec.batches:
+        session.apply_batch(ops)
+        session.save(store)
+    assert store.versions(spec.name) == [1, 2, 3]
+    newest = store.path(spec.name, 3)
+    newest.write_bytes(newest.read_bytes()[:64])
+    resumed = Session.open(spec, store=store)
+    assert resumed.applied_batches == 2
+    assert list(tmp_path.glob("*.ckpt.corrupt"))
+
+
 # --------------------------------------------------------------------- #
 # Mutation log
 # --------------------------------------------------------------------- #
@@ -392,8 +409,7 @@ def test_serve_path_matches_inline_session(tmp_path):
     for ops in spec.batches:
         inline.apply_batch(ops)
 
-    report = Scheduler(workers=0, checkpoint_dir=str(tmp_path)
-                       ).run_sessions([spec])
+    report = Scheduler(checkpoint_dir=str(tmp_path)).run_sessions([spec])
     record = report.records[0]
     assert record.ok
     sess = record.result.summary["session"]
@@ -408,14 +424,13 @@ def test_kill_resume_through_pool(tmp_path):
     """A session job killed mid-stream resumes from its checkpoint and
     lands on the same digest as an undisturbed run."""
     spec = _spec("mst", 14, checkpoint_every=1, retries=2)
-    clean = Scheduler(workers=0).run_sessions([spec]).records[0]
+    clean = Scheduler().run_sessions([spec]).records[0]
     assert clean.ok
 
     job_dict = spec.to_job_spec().to_dict()
     job_dict["fault"] = {"kind": "kill", "attempts": [1], "at_round": 3}
     job = JobSpec.from_dict(job_dict)
-    report = Scheduler(workers=0, checkpoint_dir=str(tmp_path)
-                       ).run_batch([job])
+    report = Scheduler(checkpoint_dir=str(tmp_path)).run_batch([job])
     record = report.records[0]
     assert record.ok
     assert record.attempts == 2

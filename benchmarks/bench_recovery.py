@@ -4,7 +4,7 @@ Two questions, each with a number and an assertion:
 
 * **What does the write-ahead journal cost?**  The same mixed workload
   runs through two identical gateways — one without a journal, one
-  journaling (fsync'd) every admit/dispatch/done — and the run asserts
+  journaling (fsync'd) every admit and done — and the run asserts
   the journaled p99 submit-to-done latency stays within 10% of the
   baseline (plus a small absolute slack so millisecond-scale jitter on
   a fast disk cannot fail the relative bound).  Queue-dominated latency
@@ -16,9 +16,9 @@ Two questions, each with a number and an assertion:
   process-crash shape), a fresh gateway is pointed at the same journal
   directory, and the clock runs from its construction until the first
   requeued job resolves.  Every recovered digest must be byte-identical
-  to an inline (``workers=0``) replay, and every pre-crash submission
-  must resolve exactly once — recovery that loses or duplicates work
-  would make the speed number meaningless.
+  to an inline :func:`~repro.serve.pool.run_job` replay, and every
+  pre-crash submission must resolve exactly once — recovery that loses
+  or duplicates work would make the speed number meaningless.
 
 Rows land in ``BENCH_serve.json`` (schema ``repro.bench/1``) with
 ``config="recovery"`` / ``"recovery_overhead"``.
@@ -176,7 +176,7 @@ def main() -> None:
     ]
     text = table(["metric", "value"], rows)
     text += ("\n\nevery recovered digest byte-identical to the inline "
-             "workers=0 replay; admission ledger settled after "
+             "run_job replay; admission ledger settled after "
              "recovery: yes")
     emit("recovery", text)
     emit_bench("serve", [

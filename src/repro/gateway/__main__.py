@@ -250,10 +250,12 @@ def _wait_healthy(port: int, timeout: float = 240.0) -> bool:
 
 
 def _post_retry(port: int, path: str, body: dict, *, key: str,
-                retries: int = 5) -> tuple[int, dict]:
+                retries: int = 5, retried: list | None = None
+                ) -> tuple[int, dict]:
     """POST with an ``Idempotency-Key`` and retry on 429/503/504 — the
     key is exactly what makes the blind retry safe (an injected journal
-    fault surfaces as one retryable 503)."""
+    fault surfaces as one retryable 503).  Each retried status is
+    appended to ``retried``."""
     last: tuple[int, dict] = (0, {})
     for attempt in range(retries):
         conn = http.client.HTTPConnection("127.0.0.1", port, timeout=600)
@@ -264,6 +266,8 @@ def _post_retry(port: int, path: str, body: dict, *, key: str,
             conn.close()
         if last[0] not in (429, 503, 504):
             return last
+        if retried is not None:
+            retried.append(last[0])
         time.sleep(0.2 * (attempt + 1))
     return last
 
@@ -303,6 +307,7 @@ def _smoke_crash_restart(config: dict, args) -> int:
     kill_after = min(int(crash.get("kill_after_batch", 2)), len(batches))
 
     proc = _spawn_serve(cfg_faulty, port)
+    retried: list = []
     try:
         _check(_wait_healthy(port), "first server healthy", failures)
 
@@ -312,17 +317,22 @@ def _smoke_crash_restart(config: dict, args) -> int:
             status, out = _post_retry(
                 port, "/v1/sessions/batch",
                 {"tenant": plan["tenant"], "session": plan["spec"],
-                 "ops": batches[i]}, key=f"crash-sess-{i}")
+                 "ops": batches[i]}, key=f"crash-sess-{i}",
+                retried=retried)
             _check(status == 200 and out.get("status") == "ok",
                    f"pre-crash session batch {i + 1}: HTTP {status}",
                    failures)
         for tenant, job, key in jobs:
             status, out = _post_retry(
                 port, "/v1/jobs?wait=0", {"tenant": tenant, "job": job},
-                key=key)
+                key=key, retried=retried)
             _check(status in (200, 202),
                    f"pre-crash submit {job['name']}: HTTP {status}",
                    failures)
+        if crash.get("journal_fault"):
+            _check(retried.count(503) >= 1,
+                   f"an injected journal fault surfaced as a retryable "
+                   f"503 ({retried.count(503)} retried)", failures)
 
         # The crash: SIGKILL the whole server process group mid-load.
         _killpg(proc, signal.SIGKILL)

@@ -20,12 +20,13 @@ service front end:
   construction), session batches resume from the newest readable
   version in the checkpoint spool and answer idempotently;
 * with a ``journal_dir`` configured, every submission is written ahead
-  to the :class:`~repro.gateway.journal.Journal` (admit, dispatch,
-  checkpoint, done), so death of the *gateway process itself* is
+  to the :class:`~repro.gateway.journal.Journal` (admit and done, plus
+  session_close), so death of the *gateway process itself* is
   survivable: :meth:`Gateway.start` replays the journal through
   :func:`~repro.gateway.recovery.recover_state`, rebuilds the
   admission ledger and session table, requeues every non-completed
-  submission in admission order, and answers repeated
+  submission in admission order — through the same admit-record send
+  path a live submission takes — and answers repeated
   ``Idempotency-Key`` submissions from the recorded results instead of
   re-executing.
 
@@ -122,19 +123,19 @@ class JobHandle:
 
     job_id: str
     tenant: str
-    kind: str                       # "job" | "session_batch" | "ping"
+    kind: str                       # "job"|"session_batch"|"session_close"
     name: str                       # spec/session name
     slot: int
     cost: float = 0.0
     status: str = "queued"          # queued|running|ok|failed
     #: the pool's :class:`~repro.serve.pool.JobRecord` (plain jobs)
     record: object | None = None
-    #: the worker's reply dict (session batches, pongs)
+    #: the worker's reply dict (session batches)
     payload: dict | None = None
     error: str | None = None
     retries: int = 0
-    #: whether this handle holds an admission reservation (pings and
-    #: session closes do not; releasing one would corrupt the ledger)
+    #: whether this handle holds an admission reservation (session
+    #: closes do not; releasing one would corrupt the ledger)
     admitted: bool = True
     #: answered from a recorded outcome (``Idempotency-Key`` repeat or
     #: a post-recovery lookup) — nothing executed for this handle
@@ -142,9 +143,6 @@ class JobHandle:
     submitted_at: float = 0.0
     started_at: float | None = None
     done_at: float | None = None
-    #: the sequence number minted for this handle (None when the id was
-    #: recovered from the journal and the seq lives inside it)
-    _seq: int | None = field(default=None, repr=False)
     _done: threading.Event = field(default_factory=threading.Event,
                                    repr=False)
 
@@ -292,50 +290,23 @@ class Gateway:
             for skey, sess in state.sessions.items():
                 self._sessions[skey] = {"spec": sess["spec"],
                                         "next_index": sess["next_index"]}
-        requeued = 0
-        for rec in state.pending_jobs:
+        # Pending plain jobs first, then every open session's whole
+        # journaled batch stream: already-applied batches answer
+        # idempotently from the resumed checkpoint's recorded results,
+        # lost ones (including a newest checkpoint version that was torn
+        # and quarantined) re-apply deterministically — no gap, no
+        # double effect.
+        pending = state.pending_jobs + [
+            rec for recs in state.session_batches.values() for rec in recs]
+        for rec in pending:
             cost = float(rec.get("cost", 0.0))
             self.admission.readmit(rec["tenant"], cost)
-            slot = self.pool.slot_of(self.ring.place(shard_key(
-                rec["tenant"], rec.get("shard") or rec["name"])))
-            handle = self._register(rec["tenant"], "job", rec["name"],
+            slot = self._slot(rec["tenant"], rec.get("shard") or rec["name"])
+            handle = self._register(rec["tenant"], rec["kind"], rec["name"],
                                     slot, cost, job_id=rec["job_id"])
-            self.pool.send(slot, {
-                "type": "job", "job_id": handle.job_id,
-                "tenant": rec["tenant"], "spec": rec["spec"],
-                "submitted_at": handle.submitted_at})
-            self._journal_append({"t": "dispatch",
-                                  "job_id": handle.job_id, "slot": slot,
-                                  "recovered": True})
-            requeued += 1
-        # Open sessions replay their whole journaled batch stream:
-        # already-applied batches answer idempotently from the resumed
-        # checkpoint's recorded results, lost ones (including a newest
-        # checkpoint version that was torn and quarantined) re-apply
-        # deterministically — no gap, no double effect.
-        for skey, recs in state.session_batches.items():
-            if skey not in self._sessions:
-                continue
-            for rec in recs:
-                cost = float(rec.get("cost", 0.0))
-                self.admission.readmit(rec["tenant"], cost)
-                slot = self.pool.slot_of(
-                    self.ring.place(shard_key(*skey)))
-                handle = self._register(rec["tenant"], "session_batch",
-                                        rec["name"], slot, cost,
-                                        job_id=rec["job_id"])
-                self.pool.send(slot, {
-                    "type": "session_batch", "job_id": handle.job_id,
-                    "tenant": rec["tenant"], "session": rec["session"],
-                    "ops": rec["ops"],
-                    "batch_index": int(rec["batch_index"]),
-                    "submitted_at": handle.submitted_at})
-                self._journal_append({"t": "dispatch",
-                                      "job_id": handle.job_id,
-                                      "slot": slot, "recovered": True})
-                requeued += 1
+            self._send(handle, rec)
         self.bus.publish("recovered", records=state.records,
-                         requeued=requeued,
+                         requeued=len(pending),
                          completed=len(state.completed),
                          sessions=len(state.sessions),
                          torn_tail=state.torn_tail)
@@ -389,29 +360,46 @@ class Gateway:
                              reason=getattr(exc, "reason", "rejected"))
             raise
 
+    def _slot(self, tenant: str, key: str) -> int:
+        """The ring slot ``(tenant, key)`` sticks to."""
+        return self.pool.slot_of(self.ring.place(shard_key(tenant, key)))
+
     def _register(self, tenant: str, kind: str, name: str, slot: int,
                   cost: float, *, admitted: bool = True,
                   job_id: str | None = None) -> JobHandle:
-        seq = None
         if job_id is None:
-            seq = next(self._seq)
-            job_id = f"{tenant}:{name}:{seq}"
+            # The recovery fold reads the sequence back from this id.
+            job_id = f"{tenant}:{name}:{next(self._seq)}"
         handle = JobHandle(job_id=job_id, tenant=tenant, kind=kind,
                           name=name, slot=slot, cost=cost,
                           admitted=admitted,
                           submitted_at=time.monotonic())
-        handle._seq = seq
         with self._lock:
             self._handles[job_id] = handle
         return handle
 
+    def _send(self, handle: JobHandle, rec: dict) -> None:
+        """Queue the work admit record ``rec`` describes on the handle's
+        slot — the one path for live submissions and recovered
+        requeues alike."""
+        if handle.kind == "job":
+            work = {"spec": rec["spec"]}
+        else:
+            work = {"session": rec["session"], "ops": rec["ops"],
+                    "batch_index": int(rec["batch_index"])}
+        self.pool.send(handle.slot, {
+            "type": handle.kind, "job_id": handle.job_id,
+            "tenant": handle.tenant, "submitted_at": handle.submitted_at,
+            **work})
+
     # -- write-ahead journal --------------------------------------- #
 
     def _journal_append(self, rec: dict, *, critical: bool = False) -> None:
-        """Append ``rec``; non-critical failures are absorbed (the
-        journal repairs itself before the next append), critical ones
-        (admit records — the durability promise itself) surface as a
-        retryable :class:`~repro.errors.Overloaded`."""
+        """Append ``rec``; non-critical failures (``done`` and
+        ``session_close``) are absorbed (the journal repairs itself
+        before the next append), critical ones (admit records — the
+        durability promise itself) surface as a retryable
+        :class:`~repro.errors.Overloaded`."""
         if self.journal is None:
             return
         try:
@@ -431,16 +419,15 @@ class Gateway:
                                      self.journal.bytes_written)
 
     def _journal_admit(self, handle: JobHandle, *, key: str | None,
-                       **payload) -> None:
+                       **payload) -> dict:
+        """Journal ``handle``'s admit record and return it."""
         rec = {"t": "admit", "kind": handle.kind,
                "job_id": handle.job_id, "tenant": handle.tenant,
-               "name": handle.name,
-               "seq": handle._seq if handle._seq is not None
-               else int(handle.job_id.rsplit(":", 1)[1]),
-               "cost": handle.cost, **payload}
+               "name": handle.name, "cost": handle.cost, **payload}
         if key is not None:
             rec["key"] = key
         self._journal_append(rec, critical=True)
+        return rec
 
     # -- idempotency ------------------------------------------------ #
 
@@ -489,10 +476,7 @@ class Gateway:
         evicting the oldest resolved handles beyond the bound."""
         done = handle.to_dict()
         self._journal_append({"t": "done", "job_id": handle.job_id,
-                              "tenant": handle.tenant,
-                              "status": handle.status, "result": done})
-        if handle.kind == "ping":
-            return
+                              "result": done})
         with self._lock:
             self._completed[handle.job_id] = done
             evicted = set()
@@ -531,12 +515,11 @@ class Gateway:
             return existing
         cost = estimate_cost(spec)
         self._admit(tenant, cost, name=spec.name)
-        slot = self.pool.slot_of(
-            self.ring.place(shard_key(tenant, key or spec.name)))
+        slot = self._slot(tenant, key or spec.name)
         handle = self._register(tenant, "job", spec.name, slot, cost)
         try:
-            self._journal_admit(handle, key=idempotency_key,
-                                spec=spec.to_dict(), shard=key)
+            rec = self._journal_admit(handle, key=idempotency_key,
+                                      spec=spec.to_dict(), shard=key)
         except Overloaded:
             with self._lock:
                 self._handles.pop(handle.job_id, None)
@@ -545,11 +528,7 @@ class Gateway:
         if idempotency_key is not None:
             with self._lock:
                 self._idem[(tenant, idempotency_key)] = handle.job_id
-        self.pool.send(slot, {"type": "job", "job_id": handle.job_id,
-                              "tenant": tenant, "spec": spec.to_dict(),
-                              "submitted_at": handle.submitted_at})
-        self._journal_append({"t": "dispatch", "job_id": handle.job_id,
-                              "slot": slot})
+        self._send(handle, rec)
         self.bus.publish("submitted", tenant=tenant, job_id=handle.job_id,
                          name=spec.name, slot=slot, kind="job")
         self._gauge_depth()
@@ -608,15 +587,14 @@ class Gateway:
                 raise ValueError(msg)
             index = state["next_index"]
             state["next_index"] += 1
-        slot = self.pool.slot_of(
-            self.ring.place(shard_key(tenant, session.name)))
+        slot = self._slot(tenant, session.name)
         handle = self._register(tenant, "session_batch", session.name,
                                 slot, cost)
-        ops = [dict(op) for op in ops]
         try:
-            self._journal_admit(handle, key=idempotency_key,
-                                session=state["spec"], ops=ops,
-                                batch_index=index)
+            rec = self._journal_admit(handle, key=idempotency_key,
+                                      session=state["spec"],
+                                      ops=[dict(op) for op in ops],
+                                      batch_index=index)
         except Overloaded:
             with self._lock:
                 self._handles.pop(handle.job_id, None)
@@ -627,13 +605,7 @@ class Gateway:
         if idempotency_key is not None:
             with self._lock:
                 self._idem[(tenant, idempotency_key)] = handle.job_id
-        self.pool.send(slot, {
-            "type": "session_batch", "job_id": handle.job_id,
-            "tenant": tenant, "session": state["spec"],
-            "ops": ops, "batch_index": index,
-            "submitted_at": handle.submitted_at})
-        self._journal_append({"t": "dispatch", "job_id": handle.job_id,
-                              "slot": slot})
+        self._send(handle, rec)
         self.bus.publish("submitted", tenant=tenant, job_id=handle.job_id,
                          name=session.name, slot=slot, kind="session_batch",
                          batch=index)
@@ -643,12 +615,14 @@ class Gateway:
     def close_session(self, tenant: str, name: str) -> JobHandle:
         """Discard a session's warm state and spool history."""
         _check_tenant(tenant)
-        skey = (tenant, name)
+        if self.pool is None:
+            raise Overloaded("gateway is not started", tenant=tenant,
+                             reason="draining")
         with self._lock:
-            self._sessions.pop(skey, None)
+            self._sessions.pop((tenant, name), None)
         self._journal_append({"t": "session_close", "tenant": tenant,
                               "name": name})
-        slot = self.pool.slot_of(self.ring.place(shard_key(tenant, name)))
+        slot = self._slot(tenant, name)
         handle = self._register(tenant, "session_close", name, slot, 0.0,
                                 admitted=False)
         self.pool.send(slot, {"type": "session_close",
@@ -669,30 +643,6 @@ class Gateway:
             # outcome as a resolved handle.
             return self._synthesize(done)
         return handle
-
-    def ping(self, timeout: float = 10.0) -> dict[int, dict]:
-        """Health-check every slot; returns ``slot -> pong`` facts.
-
-        A slot that does not answer in time is reported with
-        ``{"ok": False}`` — its worker is wedged or dead (the collector
-        will notice death on its own and replace it).
-        """
-        handles = {}
-        for slot, worker in self.pool.workers.items():
-            handle = self._register("_health", "ping", worker.name, slot,
-                                    0.0, admitted=False)
-            self.pool.send(slot, {"type": "ping",
-                                  "job_id": handle.job_id})
-            handles[slot] = handle
-        out = {}
-        deadline = time.monotonic() + timeout
-        for slot, handle in handles.items():
-            try:
-                handle.wait(max(0.01, deadline - time.monotonic()))
-                out[slot] = {"ok": True, **(handle.payload or {})}
-            except TimeoutError:
-                out[slot] = {"ok": False}
-        return out
 
     def kill_worker(self, slot: int) -> None:
         """Chaos hook: SIGKILL one warm worker.  The collector detects
@@ -765,10 +715,6 @@ class Gateway:
             self.bus.publish("started", tenant=handle.tenant,
                              job_id=handle.job_id, slot=msg["slot"])
             return
-        if mtype == "pong":
-            handle.payload = dict(msg)
-            self._resolve(handle, msg["slot"], "ok")
-            return
         if mtype == "done":
             if msg.get("kind") == "job":
                 record = msg["record"]
@@ -784,11 +730,6 @@ class Gateway:
                                   if k not in ("type", "kind", "slot",
                                                "job_id")}
                 if msg.get("checkpointed"):
-                    self._journal_append(
-                        {"t": "checkpoint", "job_id": handle.job_id,
-                         "tenant": handle.tenant,
-                         "name": msg.get("session"),
-                         "applied": msg.get("applied_batches")})
                     self.bus.publish("checkpointed", tenant=handle.tenant,
                                      job_id=handle.job_id,
                                      session=msg.get("session"),
@@ -809,17 +750,15 @@ class Gateway:
         # reservation freed) *before* the waiter wakes — a client that
         # observed completion must find it durable, and must find the
         # ledger already settled.
-        if handle.kind != "ping":
-            self._record_done(handle)
+        self._record_done(handle)
         if handle.admitted:
             self.admission.release(handle.tenant, handle.cost)
         handle._done.set()
-        if handle.kind != "ping":
-            self.bus.publish("done" if status == "ok" else "failed",
-                             tenant=handle.tenant, job_id=handle.job_id,
-                             slot=slot, latency_s=handle.latency_s)
+        self.bus.publish("done" if status == "ok" else "failed",
+                         tenant=handle.tenant, job_id=handle.job_id,
+                         slot=slot, latency_s=handle.latency_s)
         self._gauge_depth()
-        if self.tracer is not None and handle.kind != "ping":
+        if self.tracer is not None:
             self.tracer.on_gauge("gateway.latency_s", handle.latency_s)
 
     def _heal(self, slot: int) -> None:
@@ -834,18 +773,11 @@ class Gateway:
             handle = self.handle(msg.get("job_id", ""))
             if handle is None or handle.done:
                 continue
-            if msg.get("type") == "ping":
-                handle.error = "worker died before answering the ping"
-                self._resolve(handle, slot, "failed")
-                continue
             if handle.status == "running" and handle.admitted:
                 self.admission.requeued(handle.tenant)
             handle.status = "queued"
             handle.retries += 1
             self.pool.send(slot, msg)
-            self._journal_append({"t": "dispatch",
-                                  "job_id": handle.job_id, "slot": slot,
-                                  "requeued": True})
             self.bus.publish("retried", tenant=handle.tenant,
                              job_id=handle.job_id, slot=slot,
                              incarnation=replacement.incarnation)

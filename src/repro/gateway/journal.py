@@ -2,13 +2,13 @@
 
 Everything the gateway promises to remember across a crash goes through
 this file *before* the promise is made: a submission is journaled at
-**admit** (before its message touches a worker queue), again at
-**dispatch** (which slot got it), at every durable session
-**checkpoint**, and at **done** with the full recorded outcome.  On
-restart, :func:`repro.gateway.recovery.recover_state` folds the journal
-back into the admission ledger, the sticky-session table, and the
-requeue list — and answers repeated ``Idempotency-Key`` submissions
-from the recorded ``done`` payloads instead of re-executing.
+**admit** (before its message touches a worker queue) and at **done**
+with the full recorded outcome, and a closed session at
+**session_close**.  Those are exactly the records
+:func:`repro.gateway.recovery.recover_state` folds on restart back into
+the admission ledger, the sticky-session table, and the requeue list —
+answering repeated ``Idempotency-Key`` submissions from the recorded
+``done`` payloads instead of re-executing.
 
 Format — one record per line, append-only::
 
@@ -24,10 +24,9 @@ corruption shapes that matter:
   written; replay refuses to guess and raises the typed
   :class:`~repro.errors.CorruptJournal` with the 1-based line number.
 
-Durability: every append is flushed and ``fsync``'d before it returns
-(``fsync=False`` exists for the overhead benchmark only).  Appends are
-serialized by an internal lock — HTTP handler threads and the
-collector thread share one journal.
+Durability: every append is flushed and ``fsync``'d before it returns.
+Appends are serialized by an internal lock — HTTP handler threads and
+the collector thread share one journal.
 
 Fault injection: a :class:`~repro.serve.faults.DiskFaultPlan` given at
 construction makes every append a deterministic fault site (the
@@ -58,7 +57,10 @@ JOURNAL_SCHEMA = "repro.journal/1"
 #: the journal file inside a journal directory
 JOURNAL_FILE = "gateway.wal"
 
-#: record types the gateway writes (anything else fails replay early)
+#: record types replay accepts (anything else fails replay early).  The
+#: gateway writes ``header``, ``admit``, ``done`` and ``session_close``;
+#: ``dispatch`` and ``checkpoint`` carry nothing the fold reads and are
+#: no longer written, but journals that hold them must still replay.
 RECORD_TYPES = ("header", "admit", "dispatch", "checkpoint", "done",
                 "session_close")
 
@@ -144,11 +146,10 @@ class Journal:
     """An append-only, fsync'd, checksummed record journal in one
     directory (``<journal_dir>/gateway.wal``)."""
 
-    def __init__(self, directory: str | Path, *, fsync: bool = True,
+    def __init__(self, directory: str | Path, *,
                  fault_plan: DiskFaultPlan | None = None) -> None:
         self.directory = Path(directory)
         self.path = self.directory / JOURNAL_FILE
-        self.fsync = bool(fsync)
         self._injector = (DiskFaultInjector(fault_plan)
                           if fault_plan is not None else None)
         self._lock = threading.Lock()
@@ -229,8 +230,7 @@ class Journal:
                 raise FaultInjected(
                     f"injected power loss; journal record not durable "
                     f"({self.path})")
-            if self.fsync:
-                os.fsync(self._fh.fileno())
+            os.fsync(self._fh.fileno())
             self._good += len(line)
             index = self.records_written
             self.records_written += 1

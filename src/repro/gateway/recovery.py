@@ -5,8 +5,10 @@
 gateway, so the recovery semantics are testable in isolation.  The
 gateway applies the result inside :meth:`repro.gateway.Gateway.start`:
 
-* the submission **sequence** resumes past every journaled id, so new
-  job ids never collide with recovered ones;
+* the submission **sequence** resumes past every journaled job id (the
+  sequence number is the id's last ``:``-separated field), so new job
+  ids never collide with recovered ones — including a session close's,
+  whose id only its ``done`` record carries;
 * every admitted-but-not-completed **plain job** is requeued in its
   original admission order, with its original id and spec —
   re-execution is deterministic, so the digest a client eventually
@@ -48,6 +50,7 @@ class RecoveredState:
     #: (tenant, session_name) -> {"spec": ..., "next_index": int}
     sessions: dict = field(default_factory=dict)
     #: (tenant, session_name) -> every batch admit record, index order
+    #: (open sessions only: its keys are a subset of ``sessions``)
     session_batches: dict = field(default_factory=dict)
     #: total records folded (including the header)
     records: int = 0
@@ -62,12 +65,15 @@ def recover_state(records, *, torn_tail: bool = False) -> RecoveredState:
     jobs: dict[str, dict] = {}          # job_id -> admit rec, insert order
     for rec in records:
         state.records += 1
+        job_id = rec.get("job_id")
+        if job_id is not None:
+            state.next_seq = max(state.next_seq,
+                                 int(job_id.rsplit(":", 1)[1]) + 1)
         t = rec.get("t")
         if t == "admit":
-            state.next_seq = max(state.next_seq, int(rec["seq"]) + 1)
             key = rec.get("key")
             if key is not None:
-                state.idempotency[(rec["tenant"], key)] = rec["job_id"]
+                state.idempotency[(rec["tenant"], key)] = job_id
             if rec["kind"] == "session_batch":
                 skey = (rec["tenant"], rec["name"])
                 state.session_batches.setdefault(skey, []).append(rec)
@@ -76,20 +82,17 @@ def recover_state(records, *, torn_tail: bool = False) -> RecoveredState:
                 sess["next_index"] = max(sess["next_index"],
                                          int(rec["batch_index"]) + 1)
             else:
-                jobs[rec["job_id"]] = rec
+                jobs[job_id] = rec
         elif t == "done":
-            jobs.pop(rec["job_id"], None)
-            state.completed[rec["job_id"]] = rec.get("result", {})
+            jobs.pop(job_id, None)
+            state.completed[job_id] = rec.get("result", {})
         elif t == "session_close":
+            # Closed sessions stay dead: their batches are not requeued.
             skey = (rec["tenant"], rec["name"])
             state.sessions.pop(skey, None)
             state.session_batches.pop(skey, None)
-        # "header", "dispatch" and "checkpoint" records carry no state
-        # the fold needs: dispatch targets are recomputed from the ring
-        # (the pool is rebuilt anyway) and checkpoints live in the spool.
+        # "dispatch" and "checkpoint" records (older journals only)
+        # carry no other state: dispatch targets are recomputed from the
+        # ring and checkpoints live in the spool.
     state.pending_jobs = list(jobs.values())
-    # Batches of sessions that were closed before the crash stay dead.
-    for skey in list(state.session_batches):
-        if skey not in state.sessions:
-            del state.session_batches[skey]
     return state

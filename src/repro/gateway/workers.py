@@ -20,12 +20,11 @@ session batches apply in submission order on their sticky slot):
   :class:`repro.sessions.Session` (opened cold on first touch, resumed
   from the newest readable version in the checkpoint spool after a
   crash, and kept warm in-process between batches);
-* ``{"type": "session_close"}``, ``{"type": "ping"}``,
-  ``{"type": "stop"}``.
+* ``{"type": "session_close"}``, ``{"type": "stop"}``.
 
 Worker -> parent (one shared ``outbox`` queue): ``ready`` (warm-up
 finished; carries how long warm-up took, which is exactly the latency a
-warm pool saves per job), ``started``, ``done``, ``error``, ``pong``,
+warm pool saves per job), ``started``, ``done``, ``error``,
 ``stopped``.
 
 **Deterministic replacement.**  A worker is addressed by its slot's
@@ -143,13 +142,6 @@ def _worker_main(slot: int, incarnation: int, inbox, outbox,
                         "incarnation": incarnation, "served": served})
             return
         job_id = msg.get("job_id")
-        if mtype == "ping":
-            outbox.put({"type": "pong", "slot": slot, "job_id": job_id,
-                        "incarnation": incarnation, "pid": os.getpid(),
-                        "served": served,
-                        "sessions": sorted(f"{t}/{s}"
-                                           for t, s in sessions)})
-            continue
         outbox.put({"type": "started", "slot": slot, "job_id": job_id})
         try:
             if mtype == "job":
@@ -226,15 +218,14 @@ class WorkerPool:
     """
 
     def __init__(self, size: int = 2, *, checkpoint_dir: str | None = None,
-                 warm_algorithms=None, start_method: str | None = None
-                 ) -> None:
+                 start_method: str | None = None) -> None:
         if size < 1:
             raise ValueError(f"pool size must be >= 1, got {size}")
         self.ctx = mp.get_context(start_method)
         self.checkpoint_dir = checkpoint_dir
-        self.warm_algorithms = tuple(warm_algorithms
-                                     if warm_algorithms is not None
-                                     else known_algorithms())
+        # Listing the algorithms imports every driver here, in the
+        # parent, so workers started by ``fork`` inherit the imports.
+        self.warm_algorithms = tuple(known_algorithms())
         self.outbox = self.ctx.Queue()
         self.workers: dict[int, WarmWorker] = {}
         for slot in range(size):
@@ -302,7 +293,7 @@ class WorkerPool:
         resolved (``job_id``-carrying messages only)."""
         worker = self.workers[slot]
         job_id = msg.get("job_id")
-        if job_id is not None and msg.get("type") != "ping":
+        if job_id is not None:
             worker.outstanding[job_id] = msg
         worker.inbox.put(msg)
 

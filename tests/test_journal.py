@@ -9,7 +9,11 @@ gateway, restart, exactly-once) lives in
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import CorruptJournal, DiskFull, TornWrite
 from repro.gateway.journal import (JOURNAL_SCHEMA, Journal, _decode,
@@ -17,6 +21,8 @@ from repro.gateway.journal import (JOURNAL_SCHEMA, Journal, _decode,
 from repro.gateway.recovery import recover_state
 from repro.serve.faults import (DiskFaultPlan, DiskFaultRule,
                                 FaultInjected)
+
+FIXTURES = Path(__file__).parent / "fixtures" / "journal"
 
 
 def _admit(seq, *, kind="job", tenant="acme", name="j", key=None,
@@ -260,3 +266,118 @@ class TestRecovery:
     def test_next_seq_never_collides_with_recovered_ids(self):
         state = recover_state([self.HEADER, _admit(7), _admit(3)])
         assert state.next_seq == 8
+
+    def test_older_record_format_still_folds(self):
+        """A journal in the older record format (``seq`` in every admit,
+        a ``dispatch`` after each admit, a ``checkpoint`` before each
+        batch's ``done``, top-level ``tenant``/``status`` on ``done``),
+        written by a gateway serving two jobs (the first keyed), two
+        batches of session ``s`` and its close."""
+        replay = read_journal(FIXTURES / "closed-session.wal")
+        assert {r["t"] for r in replay.records} == {
+            "header", "admit", "dispatch", "checkpoint", "done",
+            "session_close"}
+        state = recover_state(replay.records, torn_tail=replay.torn_tail)
+        assert state.pending_jobs == []
+        assert state.sessions == {} and state.session_batches == {}
+        assert state.idempotency == {("acme", "k1"): "acme:sp-a:1"}
+        assert list(state.completed) == [
+            "acme:sp-a:1", "acme:mst-a:2", "acme:s:3", "acme:s:4",
+            "acme:s:5"]
+        # The close minted acme:s:5, and only its done record holds it.
+        assert state.next_seq == 6
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(steps=st.lists(st.tuples(
+        st.sampled_from(("job", "batch", "finish", "close")),
+        st.integers(min_value=0, max_value=3), st.booleans()),
+        max_size=40))
+    def test_both_record_formats_fold_to_the_same_state(self, steps):
+        old, new, last_seq, pending = _journal_history(steps)
+        folds = recover_state(old), recover_state(new)
+        for state in folds:
+            assert [r["job_id"] for r in state.pending_jobs] == pending
+            assert state.next_seq == last_seq + 1
+        a, b = folds
+        assert a.completed == b.completed
+        assert a.idempotency == b.idempotency
+        assert a.sessions == b.sessions
+        assert ({k: [r["job_id"] for r in v]
+                 for k, v in a.session_batches.items()} ==
+                {k: [r["job_id"] for r in v]
+                 for k, v in b.session_batches.items()})
+
+
+TENANTS = ("acme", "globex")
+
+
+def _journal_history(steps):
+    """Journal a gateway history twice: in the older record format and
+    in the current one (admit without ``seq``, ``done`` with only
+    ``job_id`` and ``result``, no ``dispatch``/``checkpoint``).
+
+    Each step is ``(action, i, flag)``: ``job`` admits a plain job
+    (keyed when ``flag``), ``batch`` admits the next batch of a
+    session, ``finish`` journals the ``done`` of the ``i``-th
+    unfinished submission, and ``close`` closes a session, whose
+    handle mints a job id after the ``session_close`` record and
+    resolves at once.  Returns both journals, the last minted sequence
+    number, and the ids of the unfinished plain jobs in admission
+    order.
+    """
+    old = [dict(TestRecovery.HEADER)]
+    new = [dict(TestRecovery.HEADER)]
+    seq = 0
+    next_index: dict = {}
+    unfinished: list = []       # (job_id, kind, tenant, name)
+
+    def mint(tenant, name):
+        nonlocal seq
+        seq += 1
+        return f"{tenant}:{name}:{seq}"
+
+    def admit(kind, tenant, name, keyed, **payload):
+        job_id = mint(tenant, name)
+        rec = {"t": "admit", "kind": kind, "job_id": job_id,
+               "tenant": tenant, "name": name, "cost": 1.0, **payload}
+        if keyed:
+            rec["key"] = f"key-{seq}"
+        new.append(rec)
+        old.append({**rec, "seq": seq})
+        old.append({"t": "dispatch", "job_id": job_id, "slot": 0})
+        unfinished.append((job_id, kind, tenant, name))
+
+    def done(job_id, kind, tenant, name):
+        result = {"job_id": job_id, "kind": kind, "name": name,
+                  "status": "ok"}
+        if kind == "session_batch":
+            old.append({"t": "checkpoint", "job_id": job_id,
+                        "tenant": tenant, "name": name})
+        old.append({"t": "done", "job_id": job_id, "tenant": tenant,
+                    "status": "ok", "result": result})
+        new.append({"t": "done", "job_id": job_id, "result": result})
+
+    for action, i, flag in steps:
+        tenant = TENANTS[i % 2]
+        if action == "job":
+            name = ("j", "mst:road")[i // 2]
+            admit("job", tenant, name, flag, spec={"name": name},
+                  shard=None)
+        elif action == "batch":
+            name = ("s", "t")[i // 2]
+            index = next_index.get((tenant, name), 1)
+            next_index[(tenant, name)] = index + 1
+            admit("session_batch", tenant, name, flag,
+                  session={"name": name}, ops=[], batch_index=index)
+        elif action == "finish" and unfinished:
+            done(*unfinished.pop(i % len(unfinished)))
+        elif action == "close":
+            name = ("s", "t")[i // 2]
+            next_index.pop((tenant, name), None)
+            close = {"t": "session_close", "tenant": tenant, "name": name}
+            old.append(close)
+            new.append(dict(close))
+            done(mint(tenant, name), "session_close", tenant, name)
+    pending = [job_id for job_id, kind, _, _ in unfinished
+               if kind == "job"]
+    return old, new, seq, pending

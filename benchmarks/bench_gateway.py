@@ -19,8 +19,9 @@ Reported per run (rows appended to ``BENCH_serve.json``, schema
   startup cost the prespawned pool amortizes out of every request, and
   the run asserts warm p50 < cold time-to-first-result;
 * digest spot checks: a deterministic subsample of jobs is replayed
-  inline (``workers=0``) and must match byte-for-byte (the full
-  per-job identity gate lives in the smoke and the --gateway tests).
+  through inline :func:`~repro.serve.pool.run_job` and must match
+  byte-for-byte (the full per-job identity gate lives in the smoke and
+  the --gateway tests).
 
 Latency here is wall seconds of queue wait + worker service — worker
 import/startup happens before the load starts and is excluded by
@@ -138,7 +139,7 @@ def run_warm() -> dict:
         failed = [h for h in handles + session_handles if not h.ok]
         assert not failed, [(h.job_id, h.error) for h in failed[:5]]
 
-        # Digest spot checks against the inline workers=0 path.
+        # Digest spot checks against inline run_job.
         for i in range(0, N_JOBS, SPOT_EVERY):
             inline = run_job(job_spec(i))
             assert handles[i].digest() == inline.result.digest, \
@@ -216,7 +217,7 @@ def main() -> None:
     text += ("\n\nwarm p50 excludes worker import/startup by "
              "construction; cold row pays it inline.\n"
              f"digest spot checks (every {SPOT_EVERY}th job + all "
-             "session batches) byte-identical to workers=0: yes")
+             "session batches) byte-identical to inline run_job: yes")
     emit("gateway_load", text)
     emit_bench("serve", [
         {"config": "gateway", **{k: v for k, v in warm.items()

@@ -10,11 +10,12 @@ service front end:
   of one session always hit the worker holding its warm
   :class:`repro.sessions.Session` state and checkpoint spool;
 * :class:`~repro.gateway.workers.WorkerPool` executes, and the
-  gateway's collector thread turns its message stream into resolved
+  gateway's collector thread turns its workers' replies into resolved
   :class:`JobHandle`\\ s, admission releases, and
   :class:`~repro.gateway.events.EventBus` lifecycle events;
-* worker death (crash or chaos :meth:`Gateway.kill_worker`) is healed
-  inline: the slot is respawned deterministically (same ring arc, next
+* worker death (crash or chaos :meth:`Gateway.kill_worker`) reads as
+  EOF on its reply pipe, after its last reply, and is healed inline:
+  the slot is respawned deterministically (same ring arc, next
   incarnation) and every unresolved message is requeued in its
   original send order — plain jobs re-execute (deterministic by
   construction), session batches resume from the newest readable
@@ -48,6 +49,7 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from multiprocessing.connection import wait
 from pathlib import Path
 
 from ..errors import Overloaded, StorageFault
@@ -59,7 +61,7 @@ from .events import EventBus, wire_gauges
 from .journal import Journal
 from .recovery import RecoveredState, recover_state
 from .ring import HashRing, shard_key
-from .workers import WorkerPool
+from .workers import WarmWorker, WorkerPool
 
 __all__ = ["Gateway", "GatewayConfig", "JobHandle"]
 
@@ -233,7 +235,6 @@ class Gateway:
         self._seq = itertools.count(1)
         self._lock = threading.Lock()
         self._ready = threading.Event()
-        self._closing = threading.Event()
         self._collector: threading.Thread | None = None
         self._tmp_spool: tempfile.TemporaryDirectory | None = None
 
@@ -344,8 +345,8 @@ class Gateway:
             self._tmp_spool = None
 
     def _shutdown_collector(self) -> None:
-        self._closing.set()
-        if self._collector is not None and self._collector.is_alive():
+        # The collector returns once every worker's reply pipe closed.
+        if self._collector is not None:
             self._collector.join(timeout=5.0)
 
     # ------------------------------------------------------------- #
@@ -681,39 +682,44 @@ class Gateway:
     # ------------------------------------------------------------- #
 
     def _collect(self) -> None:
-        while not self._closing.is_set():
-            msg = self.pool.poll(timeout=0.05)
-            if msg is not None:
-                self._dispatch(msg)
-            for slot in self.pool.dead_slots():
-                self._heal(slot)
+        # Route replies until every reply pipe has closed.  A pipe reads
+        # EOF (or OSError, if a kill tore the last reply) only after its
+        # worker exited and all it sent was read, so a heal loses none.
+        while True:
+            live = {w.reply: w for w in self.pool.workers.values()
+                    if not w.reply.closed}
+            if not live:
+                return
+            for reply in wait(list(live)):
+                try:
+                    msg = reply.recv()
+                except (EOFError, OSError):
+                    reply.close()
+                    if not live[reply].stopping:
+                        self._heal(live[reply].slot)
+                    continue
+                self._dispatch(live[reply], msg)
 
-    def _dispatch(self, msg: dict) -> None:
+    def _dispatch(self, worker: WarmWorker, msg: dict) -> None:
         mtype = msg["type"]
+        slot = worker.slot
         if mtype == "ready":
-            self.bus.publish("worker_spawned", slot=msg["slot"],
-                             incarnation=msg["incarnation"],
-                             warm_s=msg.get("warm_s", 0.0))
+            worker.ready = True
+            worker.warm_s = msg["warm_s"]
+            self.bus.publish("worker_spawned", slot=slot,
+                             incarnation=worker.incarnation,
+                             warm_s=worker.warm_s)
             if self.pool.all_ready():
                 self._ready.set()
             return
-        if mtype == "stopped":
-            return
-        handle = self.handle(msg.get("job_id", ""))
-        if handle is None or handle.done:
-            # A stale duplicate (e.g. the dead worker finished a job we
-            # requeued, and the replacement finished it again) — the
-            # first resolution won; drop the echo.
-            if msg.get("job_id"):
-                self.pool.resolve(msg["slot"], msg["job_id"])
-            return
+        handle = self.handle(msg["job_id"])
         if mtype == "started":
             handle.status = "running"
             handle.started_at = time.monotonic()
             if handle.admitted:
                 self.admission.started(handle.tenant)
             self.bus.publish("started", tenant=handle.tenant,
-                             job_id=handle.job_id, slot=msg["slot"])
+                             job_id=handle.job_id, slot=slot)
             return
         if mtype == "done":
             if msg.get("kind") == "job":
@@ -723,24 +729,23 @@ class Gateway:
                     self.bus.publish("degraded", tenant=handle.tenant,
                                      job_id=handle.job_id,
                                      events=len(record.resilience_events))
-                self._resolve(handle, msg["slot"],
+                self._resolve(handle, slot,
                               "ok" if record.ok else "failed")
             elif msg.get("kind") == "session_batch":
                 handle.payload = {k: v for k, v in msg.items()
-                                  if k not in ("type", "kind", "slot",
-                                               "job_id")}
+                                  if k not in ("type", "kind", "job_id")}
                 if msg.get("checkpointed"):
                     self.bus.publish("checkpointed", tenant=handle.tenant,
                                      job_id=handle.job_id,
                                      session=msg.get("session"),
                                      batch=msg.get("applied_batches"))
-                self._resolve(handle, msg["slot"], "ok")
+                self._resolve(handle, slot, "ok")
             else:                                   # session_close
-                self._resolve(handle, msg["slot"], "ok")
+                self._resolve(handle, slot, "ok")
             return
         if mtype == "error":
             handle.error = msg.get("error", "unknown worker error")
-            self._resolve(handle, msg["slot"], "failed")
+            self._resolve(handle, slot, "failed")
 
     def _resolve(self, handle: JobHandle, slot: int, status: str) -> None:
         self.pool.resolve(slot, handle.job_id)
@@ -770,14 +775,11 @@ class Gateway:
                          incarnation=replacement.incarnation,
                          node=replacement.node)
         for msg in orphans:
-            handle = self.handle(msg.get("job_id", ""))
-            if handle is None or handle.done:
-                continue
+            handle = self.handle(msg["job_id"])
             if handle.status == "running" and handle.admitted:
                 self.admission.requeued(handle.tenant)
             handle.status = "queued"
             handle.retries += 1
-            self.pool.send(slot, msg)
             self.bus.publish("retried", tenant=handle.tenant,
                              job_id=handle.job_id, slot=slot,
                              incarnation=replacement.incarnation)

@@ -1,10 +1,10 @@
-"""Prespawned, persistent warm workers over stdlib queues.
+"""Prespawned, persistent warm workers over stdlib queues and pipes.
 
 This is the codebase's only process pool; :mod:`repro.serve` runs its
 batches inline.  It keeps a fixed set of **slots**, each owned by one
 long-lived worker process that imports the driver stack once during
-warm-up and then serves many jobs over plain ``multiprocessing``
-queues — the fork-ahead/prespawn pattern of production serving tiers.
+warm-up and then serves many jobs — the fork-ahead/prespawn pattern of
+production serving tiers.
 
 The protocol is deliberately dumb: dicts in, dicts out.
 
@@ -22,10 +22,12 @@ session batches apply in submission order on their sticky slot):
   crash, and kept warm in-process between batches);
 * ``{"type": "session_close"}``, ``{"type": "stop"}``.
 
-Worker -> parent (one shared ``outbox`` queue): ``ready`` (warm-up
-finished; carries how long warm-up took, which is exactly the latency a
-warm pool saves per job), ``started``, ``done``, ``error``,
-``stopped``.
+Worker -> parent (a ``reply`` pipe per worker incarnation, written only
+by that worker): ``ready`` (warm-up finished; carries how long warm-up
+took, which is exactly the latency a warm pool saves per job),
+``started``, ``done``, ``error``.  No lock is shared across processes,
+so a killed worker cannot block another's replies, and its pipe reads
+EOF — the death signal — only after every reply it sent was read.
 
 **Deterministic replacement.**  A worker is addressed by its slot's
 stable node name (``"w3"``); a crashed worker's replacement is a pure
@@ -45,7 +47,7 @@ from __future__ import annotations
 
 import multiprocessing as mp
 import os
-import queue as _stdlib_queue
+import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -125,24 +127,20 @@ def _apply_session_batch(sessions: dict, spool, msg: dict) -> dict:
             "replayed": replayed, "result": result.to_dict()}
 
 
-def _worker_main(slot: int, incarnation: int, inbox, outbox,
-                 checkpoint_dir: str | None, warm_algorithms) -> None:
+def _worker_main(inbox, reply, checkpoint_dir: str | None,
+                 warm_algorithms) -> None:
     """The long-lived worker loop (module-level so ``spawn`` pickles it)."""
     warm_s = _warm_up(warm_algorithms)
-    outbox.put({"type": "ready", "slot": slot, "incarnation": incarnation,
-                "pid": os.getpid(), "warm_s": warm_s})
+    reply.send({"type": "ready", "warm_s": warm_s})
     sessions: dict = {}
     spool = CheckpointStore(checkpoint_dir) if checkpoint_dir else None
-    served = 0
     while True:
         msg = inbox.get()
         mtype = msg.get("type")
         if mtype == "stop":
-            outbox.put({"type": "stopped", "slot": slot,
-                        "incarnation": incarnation, "served": served})
             return
         job_id = msg.get("job_id")
-        outbox.put({"type": "started", "slot": slot, "job_id": job_id})
+        reply.send({"type": "started", "job_id": job_id})
         try:
             if mtype == "job":
                 # Per-tenant spool subdirectory: two tenants running
@@ -152,26 +150,24 @@ def _worker_main(slot: int, incarnation: int, inbox, outbox,
                              if checkpoint_dir else None)
                 record = _execute_job(msg["spec"], job_spool,
                                       msg["submitted_at"])
-                served += 1
-                outbox.put({"type": "done", "kind": "job", "slot": slot,
+                reply.send({"type": "done", "kind": "job",
                             "job_id": job_id, "record": record})
             elif mtype == "session_batch":
-                reply = _apply_session_batch(sessions, spool, msg)
-                served += 1
-                outbox.put({"type": "done", "kind": "session_batch",
-                            "slot": slot, "job_id": job_id, **reply})
+                batch = _apply_session_batch(sessions, spool, msg)
+                reply.send({"type": "done", "kind": "session_batch",
+                            "job_id": job_id, **batch})
             elif mtype == "session_close":
                 key = (msg["tenant"], msg["session"])
                 sessions.pop(key, None)
                 if spool is not None:
                     spool.clear(spool_name(*key))
-                outbox.put({"type": "done", "kind": "session_close",
-                            "slot": slot, "job_id": job_id})
+                reply.send({"type": "done", "kind": "session_close",
+                            "job_id": job_id})
             else:
-                outbox.put({"type": "error", "slot": slot, "job_id": job_id,
+                reply.send({"type": "error", "job_id": job_id,
                             "error": f"unknown message type {mtype!r}"})
         except Exception as exc:    # process boundary: report, keep serving
-            outbox.put({"type": "error", "slot": slot, "job_id": job_id,
+            reply.send({"type": "error", "job_id": job_id,
                         "error": f"{type(exc).__name__}: {exc}"})
 
 
@@ -187,6 +183,8 @@ class WarmWorker:
     incarnation: int
     process: mp.process.BaseProcess
     inbox: object
+    #: the read end of this incarnation's reply pipe
+    reply: object
     #: sent-but-unresolved messages in send order — exactly what a
     #: replacement worker must be re-sent after a crash
     outstanding: OrderedDict = field(default_factory=OrderedDict)
@@ -213,7 +211,8 @@ class WorkerPool:
 
     The pool only moves messages and processes; *policy* (placement,
     admission, retry bookkeeping) lives in
-    :class:`repro.gateway.gateway.Gateway`.  Queues are unbounded here
+    :class:`repro.gateway.gateway.Gateway`, whose collector thread is
+    the only reader of the reply pipes.  Inboxes are unbounded queues
     because admission control bounds what may enter them.
     """
 
@@ -226,7 +225,8 @@ class WorkerPool:
         # Listing the algorithms imports every driver here, in the
         # parent, so workers started by ``fork`` inherit the imports.
         self.warm_algorithms = tuple(known_algorithms())
-        self.outbox = self.ctx.Queue()
+        #: orders :meth:`send` and stopping against :meth:`replace`'s swap
+        self._lock = threading.Lock()
         self.workers: dict[int, WarmWorker] = {}
         for slot in range(size):
             self.workers[slot] = self._spawn(slot, 1)
@@ -235,32 +235,51 @@ class WorkerPool:
 
     def _spawn(self, slot: int, incarnation: int) -> WarmWorker:
         inbox = self.ctx.Queue()
+        reply, reply_end = self.ctx.Pipe(duplex=False)
         process = self.ctx.Process(
             target=_worker_main, name=f"gateway-w{slot}#{incarnation}",
-            args=(slot, incarnation, inbox, self.outbox,
-                  self.checkpoint_dir, self.warm_algorithms),
+            args=(inbox, reply_end, self.checkpoint_dir,
+                  self.warm_algorithms),
             daemon=True)
         process.start()
+        # The worker is now the pipe's only writer, so its exit reads as
+        # EOF (a copy kept here would also leak into the next fork).
+        reply_end.close()
         return WarmWorker(slot=slot, incarnation=incarnation,
-                          process=process, inbox=inbox)
+                          process=process, inbox=inbox, reply=reply)
 
     def replace(self, slot: int) -> tuple[WarmWorker, list[dict]]:
         """Replace a dead slot deterministically.
 
         The replacement is a pure function of ``(slot, incarnation+1)``
-        — same node name, same spool — and the dead worker's
-        outstanding messages are returned *in send order* for the
-        caller to requeue (the caller owns retry policy).
+        — same node name, same spool.  The dead worker's outstanding
+        messages move to it in send order, under the lock :meth:`send`
+        takes, so a racing submission queues behind them; they are
+        returned for the caller's retry bookkeeping.
         """
         dead = self.workers[slot]
-        orphans = list(dead.outstanding.values())
         replacement = self._spawn(slot, dead.incarnation + 1)
-        self.workers[slot] = replacement
+        with self._lock:
+            orphans = list(dead.outstanding.values())
+            for msg in orphans:
+                replacement.outstanding[msg["job_id"]] = msg
+                replacement.inbox.put(msg)
+            replacement.stopping = dead.stopping
+            self.workers[slot] = replacement
+        if replacement.stopping:    # drain/stop began while it spawned
+            replacement.process.terminate()
         return replacement, orphans
 
     def kill(self, slot: int) -> None:
         """Hard-kill one worker (chaos testing; SIGKILL, no cleanup)."""
         self.workers[slot].process.kill()
+
+    def _stopping(self) -> list[WarmWorker]:
+        """Mark every worker stopping; a later replacement inherits it."""
+        with self._lock:
+            for worker in self.workers.values():
+                worker.stopping = True
+            return list(self.workers.values())
 
     def drain(self, timeout: float = 30.0) -> None:
         """Stop every worker after its queue empties; join processes.
@@ -269,21 +288,21 @@ class WorkerPool:
         gateway does); any message still queued behind the ``stop``
         sentinel is never read.
         """
-        for worker in self.workers.values():
-            worker.stopping = True
+        workers = self._stopping()
+        for worker in workers:
             worker.inbox.put({"type": "stop"})
         deadline = time.monotonic() + timeout
-        for worker in self.workers.values():
+        for worker in workers:
             worker.process.join(timeout=max(0.0,
                                             deadline - time.monotonic()))
 
     def stop(self) -> None:
         """Terminate everything now (no drain)."""
-        for worker in self.workers.values():
-            worker.stopping = True
+        workers = self._stopping()
+        for worker in workers:
             if worker.process.is_alive():
                 worker.process.terminate()
-        for worker in self.workers.values():
+        for worker in workers:
             worker.process.join(timeout=5.0)
 
     # -- messaging -------------------------------------------------- #
@@ -291,35 +310,16 @@ class WorkerPool:
     def send(self, slot: int, msg: dict) -> None:
         """Enqueue ``msg`` on ``slot``'s inbox, tracking it until
         resolved (``job_id``-carrying messages only)."""
-        worker = self.workers[slot]
-        job_id = msg.get("job_id")
-        if job_id is not None:
-            worker.outstanding[job_id] = msg
-        worker.inbox.put(msg)
+        with self._lock:
+            worker = self.workers[slot]
+            job_id = msg.get("job_id")
+            if job_id is not None:
+                worker.outstanding[job_id] = msg
+            worker.inbox.put(msg)
 
     def resolve(self, slot: int, job_id: str) -> None:
         """Mark ``job_id`` finished on ``slot`` (done/error received)."""
-        worker = self.workers.get(slot)
-        if worker is not None:
-            worker.outstanding.pop(job_id, None)
-
-    def poll(self, timeout: float = 0.05) -> dict | None:
-        """Next worker message, or ``None`` on timeout.  Pool-level
-        state transitions (ready/stopped) are applied before returning."""
-        try:
-            msg = self.outbox.get(timeout=timeout)
-        except _stdlib_queue.Empty:
-            return None
-        worker = self.workers.get(msg.get("slot", -1))
-        if worker is not None and \
-                worker.incarnation == msg.get("incarnation",
-                                              worker.incarnation):
-            if msg["type"] == "ready":
-                worker.ready = True
-                worker.warm_s = float(msg.get("warm_s", 0.0))
-            elif msg["type"] == "stopped":
-                worker.stopping = True
-        return msg
+        self.workers[slot].outstanding.pop(job_id, None)
 
     # -- health ----------------------------------------------------- #
 
@@ -336,11 +336,6 @@ class WorkerPool:
 
     def all_ready(self) -> bool:
         return all(w.ready for w in self.workers.values())
-
-    def dead_slots(self) -> list[int]:
-        """Slots whose worker died without being asked to stop."""
-        return [slot for slot, w in self.workers.items()
-                if not w.stopping and not w.process.is_alive()]
 
     def outstanding_total(self) -> int:
         return sum(len(w.outstanding) for w in self.workers.values())

@@ -12,17 +12,22 @@ Two layers, matching how the subsystem runs in CI:
 * **Pool tests** (``--gateway``, spawn real warm workers): end-to-end
   digest identity against inline :func:`repro.serve.pool.run_job` over
   both the Python API and the HTTP front end, sticky session placement,
-  and the chaos path — kill a warm worker mid-session and assert the
-  replacement resumes from the versioned spool with byte-identical
-  digests.
+  the chaos path — kill a warm worker mid-session, after every reply,
+  or while its replacement spawns, and assert the replacement resumes
+  from the versioned spool with byte-identical digests and nothing
+  lost — and the shutdown path, which must leave no collector thread
+  and no worker process behind.
 """
 
 from __future__ import annotations
 
+import faulthandler
 import http.client
 import json
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -57,6 +62,17 @@ SESSION_BATCHES = [
     [{"op": "drop_edges", "count": 2, "seed": 3}],
     [{"op": "add_edges", "count": 3, "seed": 4}],
 ]
+
+#: seconds one gateway reply may take in the kill tests before the run
+#: counts as wedged (a warm reply takes well under a second)
+REPLY_DEADLINE_S = 30
+
+
+def session_stream(n: int) -> list:
+    """``n`` deterministic MST delta batches cycling the three op kinds."""
+    kinds = ("add_edges", "reweight_edges", "drop_edges")
+    return [[{"op": kinds[i % 3], "count": 2 + i % 3, "seed": 100 + i}]
+            for i in range(n)]
 
 
 # --------------------------------------------------------------------- #
@@ -537,3 +553,138 @@ class TestGatewayChaos:
             for spec, handle in zip(specs, handles):
                 assert handle.ok, handle.error
                 assert handle.digest() == run_job(spec).result.digest
+
+    def test_kill_after_every_reply_never_wedges(self):
+        # A worker SIGKILLed right after it replied must not take the
+        # reply path down with it: every later reply still arrives.
+        config = GatewayConfig(workers=2, tenants={"acme": TenantQuota()})
+        inline = Session.open(SessionSpec.from_dict(SESSION_SPEC))
+        with Gateway(config) as gateway:
+            try:
+                for ops in session_stream(20):
+                    # On a wedge, dump every thread's stack before the
+                    # wait below gives up.
+                    faulthandler.dump_traceback_later(REPLY_DEADLINE_S - 5)
+                    handle = gateway.session_batch(
+                        "acme", SESSION_SPEC, ops).wait(REPLY_DEADLINE_S)
+                    assert handle.ok, handle.error
+                    assert handle.digest() == inline.apply_batch(ops).digest
+                    gateway.kill_worker(handle.slot)
+            finally:
+                faulthandler.cancel_dump_traceback_later()
+            assert gateway.bus.count("worker_replaced") >= 19
+            gateway.drain()
+
+    def test_submit_racing_a_replacement_is_not_lost(self, monkeypatch):
+        config = GatewayConfig(workers=1, tenants={"acme": TenantQuota()})
+        spec = JOB_SPECS[2]
+        with Gateway(config) as gateway:
+            pool = gateway.pool
+            spawn = pool._spawn
+            spawning, sent = threading.Event(), threading.Event()
+
+            def gated_spawn(slot, incarnation):
+                if incarnation == 2:
+                    # Hold the replacement back until the submission
+                    # below went out: the race window, made wide.
+                    spawning.set()
+                    sent.wait(REPLY_DEADLINE_S)
+                return spawn(slot, incarnation)
+
+            monkeypatch.setattr(pool, "_spawn", gated_spawn)
+            gateway.kill_worker(0)
+            assert spawning.wait(REPLY_DEADLINE_S)
+            handle = gateway.submit("acme", spec)
+            sent.set()
+            handle.wait(REPLY_DEADLINE_S)
+            assert handle.ok, handle.error
+            assert handle.digest() == run_job(spec).result.digest
+            assert gateway.stats()["admission"]["total_pending"] == 0
+
+    def test_submitters_racing_repeated_kills_lose_nothing(self):
+        # More workers than cores, four submitting threads, a short
+        # switch interval and kills throughout: every submission must
+        # resolve correctly, with the ledger and the pool settled.
+        config = GatewayConfig(
+            workers=3, tenants={"acme": TenantQuota(max_inflight=32,
+                                                    max_queued=32)})
+        inline = {s.name: run_job(s).result.digest for s in JOB_SPECS}
+        handles, lock = [], threading.Lock()
+
+        def submitter(k):
+            for i in range(6):
+                handle = gateway.submit("acme", JOB_SPECS[(k + i) % 3])
+                with lock:
+                    handles.append(handle)
+                time.sleep(0.005)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with Gateway(config) as gateway:
+                threads = [threading.Thread(target=submitter, args=(k,))
+                           for k in range(4)]
+                for thread in threads:
+                    thread.start()
+                for kill in range(12):
+                    gateway.kill_worker(kill % 3)
+                    time.sleep(0.01)
+                for thread in threads:
+                    thread.join(REPLY_DEADLINE_S)
+                    assert not thread.is_alive()
+                assert len(handles) == 24
+                for handle in handles:
+                    handle.wait(REPLY_DEADLINE_S)
+                    assert handle.ok, handle.error
+                    assert handle.digest() == inline[handle.name]
+                assert gateway.stats()["admission"]["total_pending"] == 0
+                assert gateway.pool.outstanding_total() == 0
+        finally:
+            sys.setswitchinterval(interval)
+
+
+@pytest.mark.gateway
+class TestGatewayShutdown:
+    @staticmethod
+    def _assert_nothing_left(gateway):
+        assert not gateway._collector.is_alive()
+        alive = [w.name for w in gateway.pool.workers.values()
+                 if w.process.is_alive()]
+        assert not alive, alive
+
+    @pytest.mark.parametrize("how", ["drain", "stop"])
+    def test_no_collector_or_worker_outlives_shutdown(self, how):
+        config = GatewayConfig(workers=2, tenants={"acme": TenantQuota()})
+        gateway = Gateway(config).start()
+        try:
+            assert gateway.submit("acme", JOB_SPECS[0]).wait(300).ok
+            getattr(gateway, how)()
+            self._assert_nothing_left(gateway)
+        finally:
+            gateway.stop()
+
+    def test_replacement_spawned_during_stop_is_stopped(self, monkeypatch):
+        config = GatewayConfig(workers=2, tenants={"acme": TenantQuota()})
+        gateway = Gateway(config).start()
+        pool = gateway.pool
+        spawn = pool._spawn
+        spawning = threading.Event()
+
+        def gated_spawn(slot, incarnation):
+            # Finish the replacement only after stop() marked the pool
+            # stopping: the race window, made wide.
+            spawning.set()
+            deadline = time.monotonic() + REPLY_DEADLINE_S
+            while not pool.workers[slot].stopping and \
+                    time.monotonic() < deadline:
+                time.sleep(0.001)
+            return spawn(slot, incarnation)
+
+        monkeypatch.setattr(pool, "_spawn", gated_spawn)
+        try:
+            gateway.kill_worker(0)
+            assert spawning.wait(REPLY_DEADLINE_S)
+            gateway.stop()
+            self._assert_nothing_left(gateway)
+        finally:
+            gateway.stop()

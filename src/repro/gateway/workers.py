@@ -37,10 +37,13 @@ deterministic and sticky sessions resume exactly where their
 predecessor's spool left off.
 
 **Idempotent session batches.**  Each batch carries its 1-based
-``batch_index``.  A worker that resumed from a checkpoint written
+``batch_index``, and :meth:`repro.sessions.Session.recorded` is the one
+idempotency rule.  A worker that resumed from a checkpoint written
 *after* the batch applied but *before* the reply was sent answers from
 the session's recorded results instead of applying twice — that is the
-at-least-once-delivery seam the crash-requeue path relies on.
+at-least-once-delivery seam the crash-requeue path relies on.  A gap
+raises :class:`~repro.errors.SessionStateError`; only an applied batch
+spools a checkpoint.
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ from dataclasses import dataclass, field
 
 from ..core.engine import EngineCheckpoint
 from ..serve.checkpoint import CheckpointStore
-from ..serve.jobs import JobError, known_algorithms
+from ..serve.jobs import known_algorithms
 from ..serve.pool import _execute_job
 
 __all__ = ["WarmWorker", "WorkerPool", "spool_name"]
@@ -103,24 +106,14 @@ def _open_session(sessions: dict, spool, msg: dict):
 
 def _apply_session_batch(sessions: dict, spool, msg: dict) -> dict:
     tenant = msg["tenant"]
-    index = int(msg["batch_index"])
     key, session = _open_session(sessions, spool, msg)
-    if index <= session.applied_batches:
-        # Already durable (we are a replacement worker re-serving a
-        # requeued batch its predecessor applied before dying).
-        result = session.results[index - 1]
-        replayed = True
-    elif index == session.applied_batches + 1:
+    result = session.recorded(int(msg["batch_index"]))
+    replayed = result is not None
+    if not replayed:
         result = session.apply_batch(msg["ops"])
-        replayed = False
         if spool is not None:
             spool.save(spool_name(tenant, key[1]), session.checkpoint(),
                        version=session.applied_batches)
-    else:
-        raise JobError(
-            f"session {key[1]!r} expected batch "
-            f"{session.applied_batches + 1}, got {index} (gap in the "
-            f"stream — batches must arrive in order)")
     return {"tenant": tenant, "session": key[1],
             "applied_batches": session.applied_batches,
             "checkpointed": spool is not None and not replayed,

@@ -59,8 +59,8 @@ class CheckpointStore:
       atomically replaced on every :meth:`save`; this is what the
       pool's retry loop uses, and it cannot grow;
     * **versioned history** (``<job>@NNNNNNNN.ckpt``) — written when
-      :meth:`save` is given a ``version`` (long-lived
-      :mod:`repro.sessions` streams checkpoint once per batch).  To
+      :meth:`save` is given a ``version`` (a gateway worker saves one
+      per applied session batch, the sessions CLI one per cadence).  To
       keep a session from leaking spool disk over thousands of
       batches, every versioned save *prunes* superseded versions down
       to ``keep_latest`` (newest-N survive; the unversioned slot is

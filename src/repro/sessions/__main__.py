@@ -10,9 +10,9 @@ per batch (recompute mode, dirty fraction, modeled cost vs. the latest
 full-recompute reference).  With ``--verify-full`` every batch is also
 checked against a cold full recompute on the equivalently mutated
 input — the differential guarantee, enforced end to end.  With
-``--checkpoint-dir`` each batch writes a versioned durable checkpoint
-(pruned to ``--keep-latest``), and a rerun resumes past the batches
-already applied.
+``--checkpoint-dir`` a session saves a versioned checkpoint every
+``checkpoint_every`` batches and after its last batch (none at 0),
+pruned to ``--keep-latest``; a rerun resumes past the saved batches.
 
 The input file holds ``{"sessions": [<session spec>, ...]}``, a bare
 list, or a single spec object (see
@@ -64,7 +64,7 @@ def _run_session(spec: SessionSpec, *, store, verify_full: bool) -> bool:
           f"{'cost':>11s} {'full':>11s} {'ratio':>6s}  digest")
     ok = True
     for i, ops in enumerate(spec.batches, start=1):
-        if i <= resumed:
+        if session.recorded(i) is not None:
             continue
         r = session.apply_batch(ops)
         print(f"  {r.batch:5d}  {r.mode:6s} {r.dirty:7d} "
@@ -77,11 +77,9 @@ def _run_session(spec: SessionSpec, *, store, verify_full: bool) -> bool:
                 ok = False
                 print(f"         DIFFERENTIAL MISMATCH: cold recompute "
                       f"digest {cold[:12]} != session {r.digest[:12]}")
-        if store is not None and spec.checkpoint_every > 0 \
-                and i % spec.checkpoint_every == 0:
+        if store is not None and (session.checkpoint_due or (
+                spec.checkpoint_every > 0 and i == len(spec.batches))):
             session.save(store)
-    if store is not None and spec.checkpoint_every > 0:
-        session.save(store)
     return ok
 
 
@@ -95,7 +93,7 @@ def main(argv=None) -> int:
     run.add_argument("file", help="sessions JSON "
                                   "({'sessions': [...]}, list, or object)")
     run.add_argument("--checkpoint-dir", default=None,
-                     help="durable versioned checkpoints per batch")
+                     help="save every checkpoint_every batches and at the end")
     run.add_argument("--keep-latest", type=int, default=3,
                      help="versioned checkpoints retained per session")
     run.add_argument("--verify-full", action="store_true",

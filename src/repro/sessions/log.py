@@ -44,26 +44,17 @@ class MutationLog:
     def retained_ops(self) -> int:
         return sum(len(e["ops"]) for e in self.entries)
 
-    def total_batches(self) -> int:
-        return self.compacted_batches + len(self.entries)
-
-    def total_ops(self) -> int:
-        return self.compacted_ops + self.retained_ops()
-
-    def compact(self) -> int:
+    def compact(self) -> None:
         """Fold oldest entries until retained ops fit ``compact_after``.
 
-        Returns how many entries were folded.  The newest entry always
-        survives, even when it alone exceeds the ceiling.
+        The newest entry always survives, even when it alone exceeds
+        the ceiling.
         """
-        folded = 0
         while len(self.entries) > 1 and \
                 self.retained_ops() > max(0, self.compact_after):
             e = self.entries.pop(0)
             self.compacted_batches += 1
             self.compacted_ops += len(e["ops"])
-            folded += 1
-        return folded
 
     def to_dict(self) -> dict:
         return {"entries": [dict(e) for e in self.entries],

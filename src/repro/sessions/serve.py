@@ -7,10 +7,11 @@ puts the batch stream in ``params["session"]``, and the pool's worker
 envelope here instead of to the cold adapter.  The session then
 inherits the whole serving contract for free:
 
-* the pool's ``round_hook`` fires once per *batch*, so cooperative
-  timeouts and ``at_round`` fault injection act at batch granularity;
-* ``checkpoint_every`` (in batches) persists session snapshots through
-  the batch's :class:`~repro.serve.checkpoint.CheckpointStore`, and a
+* the pool's ``round_hook`` fires before each batch the attempt applies,
+  so cooperative timeouts and ``at_round`` faults act per batch;
+* every ``checkpoint_every`` batches a session snapshot replaces the
+  job's unversioned slot in the batch's
+  :class:`~repro.serve.checkpoint.CheckpointStore`, and a
   killed attempt resumes from the last durable batch — replaying only
   the remaining stream, with counter totals identical to an
   uninterrupted run;
@@ -25,12 +26,7 @@ from ..core.engine import EngineCheckpoint
 from .session import Session
 from .spec import SessionSpec
 
-__all__ = ["is_session_job", "run_session_job"]
-
-
-def is_session_job(params) -> bool:
-    """Does this job spec's params carry a session envelope?"""
-    return bool(params.get("session"))
+__all__ = ["run_session_job"]
 
 
 def run_session_job(spec, ctx):
@@ -47,13 +43,12 @@ def run_session_job(spec, ctx):
     session = Session.open(sspec, counter=ctx.counter,
                            resilience=ctx.resilience, checkpoint=resume)
     for i, ops in enumerate(sspec.batches, start=1):
-        if i <= session.applied_batches:
+        if session.recorded(i) is not None:
             continue            # already durable in the resumed state
         if ctx.round_hook is not None:
             ctx.round_hook(i)
         session.apply_batch(ops)
-        if ctx.save_checkpoint is not None and ctx.checkpoint_every > 0 \
-                and i % ctx.checkpoint_every == 0:
+        if ctx.save_checkpoint is not None and session.checkpoint_due:
             ctx.save_checkpoint(session.checkpoint())
 
     modes = [r.mode for r in session.results]

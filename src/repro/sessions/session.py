@@ -178,9 +178,27 @@ class Session:
         store.save(self.spec.name, self.checkpoint(),
                    version=self.applied_batches)
 
+    @property
+    def checkpoint_due(self) -> bool:
+        """Is the newest applied batch a multiple of a nonzero
+        ``spec.checkpoint_every``?"""
+        n, every = self.applied_batches, self.spec.checkpoint_every
+        return every > 0 and n > 0 and n % every == 0
+
     # ------------------------------------------------------------- #
     # Streaming                                                      #
     # ------------------------------------------------------------- #
+
+    def recorded(self, index: int) -> BatchResult | None:
+        """1-based batch ``index``'s result if already applied, ``None``
+        if it is the next batch; a gap raises :class:`SessionStateError`."""
+        if index == self.applied_batches + 1:
+            return None
+        if not 1 <= index <= self.applied_batches:
+            raise SessionStateError(
+                f"session {self.spec.name!r} expected batch "
+                f"{self.applied_batches + 1}, got {index}")
+        return self.results[index - 1]
 
     def apply_batch(self, ops) -> BatchResult:
         """Apply one mutation batch; recompute only the affected region."""

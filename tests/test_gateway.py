@@ -6,8 +6,10 @@ Two layers, matching how the subsystem runs in CI:
   determinism and placement stability, admission-control quota paths
   and ledger transitions, event-bus semantics, scheduler policy
   validation, the inline :class:`repro.serve.Scheduler` batch path,
-  tenant-name validation, and the multi-tenant checkpoint-spool
-  isolation the warm workers rely on (no cross-prune, no cross-resume).
+  tenant-name validation, the multi-tenant checkpoint-spool isolation
+  the warm workers rely on (no cross-prune, no cross-resume), and the
+  worker's session body driven in-process (answered, applied and gap
+  batches, and a replacement resuming from the spool).
 
 * **Pool tests** (``--gateway``, spawn real warm workers): end-to-end
   digest identity against inline :func:`repro.serve.pool.run_job` over
@@ -32,11 +34,12 @@ from pathlib import Path
 
 import pytest
 
-from repro.errors import AdmissionRejected, Overloaded, QuotaExceeded
+from repro.errors import AdmissionRejected, Overloaded, QuotaExceeded, SessionStateError
 from repro.gateway import (EVENTS, AdmissionController, EventBus, Gateway,
                            GatewayConfig, HashRing, TenantQuota, shard_key,
                            spool_name, stable_hash, wire_gauges)
 from repro.gateway.http import make_server, serve_in_thread
+from repro.gateway.workers import _apply_session_batch
 from repro.serve import CheckpointStore, Scheduler
 from repro.serve.jobs import JobSpec
 from repro.serve.pool import run_job
@@ -367,6 +370,49 @@ class TestSpoolIsolation:
             Session.open(spec_a,
                          checkpoint=store.load(spool_name("globex",
                                                           "mst-s")))
+
+
+class TestWorkerSessionBody:
+    """The warm worker's session body, run in this process (no pool)."""
+
+    @staticmethod
+    def batch(index: int) -> dict:
+        return {"tenant": "acme", "session": SESSION_SPEC,
+                "batch_index": index, "ops": SESSION_BATCHES[index - 1]}
+
+    def test_answers_applies_and_refuses_gaps(self, tmp_path):
+        spool = CheckpointStore(tmp_path)
+        name = spool_name("acme", SESSION_SPEC["name"])
+        sessions: dict = {}
+        applied = [_apply_session_batch(sessions, spool, self.batch(i))
+                   for i in (1, 2)]
+        assert [r["replayed"] for r in applied] == [False, False]
+        assert [r["checkpointed"] for r in applied] == [True, True]
+        assert spool.versions(name) == [1, 2]
+
+        again = _apply_session_batch(sessions, spool, self.batch(2))
+        assert again["replayed"] and not again["checkpointed"]
+        assert again["applied_batches"] == 2
+        assert again["result"] == applied[1]["result"]
+        assert spool.versions(name) == [1, 2]
+
+        with pytest.raises(SessionStateError,
+                           match="expected batch 3, got 4"):
+            _apply_session_batch(sessions, spool, self.batch(4))
+
+        # A replacement worker starts with no warm sessions: it answers
+        # batch 1 from the spool and applies batch 3 as inline would.
+        replacement: dict = {}
+        answered = _apply_session_batch(replacement, spool, self.batch(1))
+        assert answered["replayed"]
+        assert answered["result"] == applied[0]["result"]
+        third = _apply_session_batch(replacement, spool, self.batch(3))
+        assert not third["replayed"] and third["applied_batches"] == 3
+        assert spool.versions(name) == [1, 2, 3]
+        inline = Session.open(SessionSpec.from_dict(SESSION_SPEC))
+        for ops in SESSION_BATCHES[:3]:
+            inline.apply_batch(ops)
+        assert third["result"] == inline.results[2].to_dict()
 
 
 # --------------------------------------------------------------------- #

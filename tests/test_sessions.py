@@ -6,15 +6,18 @@ byte-identical to a cold full recompute on the equivalently mutated
 input (the serve adapter run with all mutations concatenated).  The
 gate drives that check across every algorithm with a planner, ≥3 seeds
 and ≥3 batches each, plus the surrounding machinery: the
-threshold escape hatch, empty-batch no-ops, checkpoint/resume (inline
-and kill-resume through the pool), the serve integration, the
+threshold escape hatch, empty-batch no-ops, the batch-index and
+checkpoint-cadence rules, checkpoint/resume (inline and kill-resume
+through the pool at several cadences), the serve integration, the
 mutation-log compaction guard, observability gauges, the
 delta-vs-full modeled-cost win on MST and PTA, the MST planner's host
-finish against Kruskal, a 30-batch MST stream, and the CLI exit codes.
+finish against Kruskal, a 30-batch MST stream, and the CLI's exit
+codes and checkpoint writes.
 """
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
 
 import numpy as np
@@ -27,11 +30,12 @@ from repro.errors import SessionStateError
 from repro.mst import kruskal
 from repro.obs import Tracer, chrome_trace, validate_chrome_trace
 from repro.serve import CheckpointStore, Scheduler
-from repro.serve.jobs import JobSpec, estimate_cost
+from repro.serve.jobs import JobContext, JobSpec, estimate_cost
 from repro.sessions import (DEFAULT_FULL_THRESHOLD, MutationLog, Session,
                             SessionSpec, planned_algorithms, planner_for)
 from repro.sessions.__main__ import main as sessions_cli
 from repro.sessions.planners.mst import MstPlanner, forest_components
+from repro.sessions.serve import run_session_job
 
 pytestmark = pytest.mark.session
 
@@ -283,6 +287,32 @@ def test_small_delta_cost_win(algorithm, params, batch):
 # Checkpoint / resume
 # --------------------------------------------------------------------- #
 
+def test_recorded_answers_applied_batches_and_refuses_gaps():
+    session = Session.open(_spec("mst", 17))
+    assert session.recorded(1) is None
+    first = session.apply_batch(session.spec.batches[0])
+    assert session.recorded(1) is first
+    assert session.recorded(2) is None
+    for index in (0, 3):
+        with pytest.raises(SessionStateError,
+                           match=f"expected batch 2, got {index}"):
+            session.recorded(index)
+    assert session.applied_batches == 1     # asking applied nothing
+
+
+@pytest.mark.parametrize("every,due", [(0, []), (1, [1, 2, 3]), (2, [2]),
+                                       (3, [3])])
+def test_checkpoint_due_follows_the_spec_cadence(every, due):
+    session = Session.open(_spec("mst", 18, checkpoint_every=every))
+    assert not session.checkpoint_due
+    got = []
+    for ops in session.spec.batches:
+        session.apply_batch(ops)
+        if session.checkpoint_due:
+            got.append(session.applied_batches)
+    assert got == due
+
+
 def test_checkpoint_resume_byte_identity(tmp_path):
     """Save mid-stream, resume, finish: digest and per-batch history
     equal an uninterrupted session's."""
@@ -420,10 +450,29 @@ def test_serve_path_matches_inline_session(tmp_path):
     assert inline.digest() == inline.cold_digest()
 
 
-def test_kill_resume_through_pool(tmp_path):
-    """A session job killed mid-stream resumes from its checkpoint and
-    lands on the same digest as an undisturbed run."""
-    spec = _spec("mst", 14, checkpoint_every=1, retries=2)
+def test_round_hook_and_saves_skip_resumed_batches():
+    """Resumed past batch 2, the serve adapter fires the round hook and
+    saves only for the batch it applies."""
+    spec = _spec("mst", 19, checkpoint_every=1)
+    session = Session.open(spec)
+    for ops in spec.batches[:2]:
+        session.apply_batch(ops)
+    rounds, saved = [], []
+    ctx = JobContext(counter=session.counter.copy(),
+                     round_hook=rounds.append, checkpoint_every=1,
+                     save_checkpoint=saved.append,
+                     resume_state=session.checkpoint())
+    run_session_job(spec.to_job_spec(), ctx)
+    assert rounds == [3]
+    assert [ck.round for ck in saved] == [3]
+
+
+@pytest.mark.parametrize("every", [1, 2, 3])
+def test_kill_resume_through_pool(tmp_path, every):
+    """A session job killed before batch 3 resumes from the newest
+    checkpoint its cadence wrote and lands on the same digest as an
+    undisturbed run."""
+    spec = _spec("mst", 14, checkpoint_every=every, retries=2)
     clean = Scheduler().run_sessions([spec]).records[0]
     assert clean.ok
 
@@ -434,7 +483,7 @@ def test_kill_resume_through_pool(tmp_path):
     record = report.records[0]
     assert record.ok
     assert record.attempts == 2
-    assert record.resumed_round >= 1
+    assert record.resumed_round == (3 - 1) // every * every
     assert record.result.digest == clean.result.digest
 
 
@@ -448,6 +497,41 @@ EXAMPLE_STREAM = (Path(__file__).resolve().parent.parent / "examples"
 
 def test_cli_example_stream_verifies():
     assert sessions_cli(["run", str(EXAMPLE_STREAM), "--verify-full"]) == 0
+
+
+def _cli_saves(monkeypatch, argv) -> list:
+    """``(job name, version)`` of every checkpoint one CLI run saves."""
+    saved = []
+    real = CheckpointStore.save
+
+    def save(self, job_name, state, version=None):
+        saved.append((job_name, version))
+        return real(self, job_name, state, version=version)
+
+    with monkeypatch.context() as m:
+        m.setattr(CheckpointStore, "save", save)
+        assert sessions_cli(argv) == 0
+    return saved
+
+
+@pytest.mark.parametrize("stream,want", [
+    (EXAMPLE_STREAM, [("mst-incremental", 2), ("mst-incremental", 4)]),
+    (None, [("mst-s16", 2), ("mst-s16", 3)]),
+], ids=["example", "three-batches-every-2"])
+def test_cli_saves_each_checkpoint_version_once(tmp_path, monkeypatch,
+                                                capsys, stream, want):
+    """Saves land every ``checkpoint_every`` batches plus the stream's
+    last, once each; sessions at cadence 0 save nothing, and a rerun
+    that resumed past every batch saves nothing either."""
+    if stream is None:
+        stream = tmp_path / "three.json"
+        stream.write_text(json.dumps(
+            _spec("mst", 16, checkpoint_every=2).to_dict()))
+    argv = ["run", str(stream), "--checkpoint-dir", str(tmp_path / "ckpt")]
+    assert _cli_saves(monkeypatch, argv) == want
+    capsys.readouterr()
+    assert _cli_saves(monkeypatch, argv) == []
+    assert f"(resumed past {want[-1][1]})" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("content", ['["x"]', "5", None],

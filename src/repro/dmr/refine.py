@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core.adaptive import AdaptiveConfig
+from ..core.adaptive import AdaptiveConfig, adaptive_from_dict
 from ..core.conflict import three_phase_mark, two_phase_mark
 from ..core.counters import OpCounter
 from ..core.layout import bfs_permutation
@@ -49,10 +49,11 @@ from ..resilience.deletion import ResilientRecyclePool
 from ..resilience.policy import launch_ok, maybe_activate_resilience
 from ..vgpu.instrument import SANITIZER, TRACER, fault_transfer, trace_span
 from ..vgpu.memory import RecyclePool
-from ..vgpu.sync import BarrierModel, FENCE
+from ..vgpu.sync import BARRIERS, FENCE, BarrierModel
 from .plan import RefinePlan, apply_plan
 
-__all__ = ["DMRConfig", "DMRResult", "refine_gpu", "reorder_mesh",
+__all__ = ["DMRConfig", "DMRResult", "dmr_config", "dmr_input", "dmr_insert",
+           "dmr_refine", "dmr_sizes", "refine_gpu", "reorder_mesh",
            "serve_job"]
 
 #: slot distance under which a neighbor access is modeled as cache-local
@@ -611,6 +612,69 @@ def _wave_work(attempt: np.ndarray, plans, threads: int, live: int,
 # repro.serve adapter                                                #
 # ------------------------------------------------------------------ #
 
+def dmr_sizes(params) -> dict:
+    """``n_triangles`` (default 600), as :func:`dmr_input` reads it."""
+    return {"n_triangles": int(params.get("n_triangles", 600))}
+
+
+def dmr_input(params, seed: int):
+    """``(mesh, ops)``: a random mesh of :func:`dmr_sizes` from ``seed``
+    and the checked ``insert_points`` stream ``params["mutations"]``,
+    which :func:`dmr_insert` applies."""
+    from ..meshing.generate import random_mesh
+    from ..serve.mutations import check_mutations
+
+    ops = check_mutations("dmr", params.get("mutations", ()))
+    return random_mesh(dmr_sizes(params)["n_triangles"], seed=seed), ops
+
+
+def dmr_config(strategy, seed: int) -> DMRConfig:
+    """The :class:`DMRConfig` a strategy dict describes."""
+    kwargs = {k: strategy[k] for k in
+              ("conflict", "layout_opt", "local_worklists", "sort_work",
+               "precision", "growth_factor", "priority", "min_chunk")
+              if k in strategy}
+    if "barrier" in strategy:
+        kwargs["barrier"] = BARRIERS[strategy["barrier"]]
+    if "adaptive" in strategy:
+        kwargs["adaptive"] = adaptive_from_dict(strategy["adaptive"])
+    return DMRConfig(seed=seed, **kwargs)
+
+
+def dmr_insert(mesh: TriMesh, ops, cfg: DMRConfig, counter,
+               resilience=None) -> TriMesh:
+    """Insert each op's points through the §9 driver; returns the mesh.
+
+    The refine that follows prices the whole counter under ``cfg``, so
+    its cost configuration is recorded before the inserts' first launch.
+    """
+    from ..meshing.gpu_insert import gpu_insert_points
+    from ..serve.mutations import mutation_points
+
+    cfg.record_cost_config(counter)
+    for op in ops:
+        mx, my = mutation_points(op)
+        mesh = gpu_insert_points(mesh, mx, my, seed=int(op.get("seed", 0)),
+                                 counter=counter,
+                                 resilience=resilience).mesh
+    return mesh
+
+
+def dmr_refine(mesh: TriMesh, cfg: DMRConfig, counter, resilience=None):
+    """Refine ``mesh``; returns the job's ``(arrays, summary)``."""
+    res = refine_gpu(mesh, cfg, counter=counter, resilience=resilience)
+    out = res.mesh
+    arrays = (out.tri[: out.n_tris], out.px[: out.n_pts],
+              out.py[: out.n_pts], out.isdel[: out.n_tris])
+    summary = {"rounds": res.rounds, "processed": res.processed,
+               "points_added": res.points_added,
+               "aborted_conflicts": res.aborted_conflicts,
+               "aborted_geometry": res.aborted_geometry,
+               "converged": res.converged,
+               "triangles": int(out.num_triangles)}
+    return arrays, summary
+
+
 def serve_job(params, strategy, seed, ctx):
     """Job adapter for :mod:`repro.serve` (``algorithm="dmr"``).
 
@@ -630,45 +694,15 @@ def serve_job(params, strategy, seed, ctx):
     interior points through the §9 GPU insertion driver *before*
     refinement, so the job models "mesh mutated, then re-refined" — the
     dynamic-update scenario recorded traces replay.
+
+    Composes :func:`dmr_input`, :func:`dmr_config`, :func:`dmr_insert`
+    and :func:`dmr_refine`, as the session planner does.
     """
-    from ..core.adaptive import adaptive_from_dict
-    from ..meshing.generate import random_mesh
-    from ..serve.mutations import check_mutations, mutation_points
     from ..tune import resolve_strategy
-    from ..vgpu.sync import HIERARCHICAL, NAIVE_ATOMIC
 
     strategy = resolve_strategy("dmr", params, strategy)
-    mutations = check_mutations("dmr", params.get("mutations", ()))
-    barriers = {"fence": FENCE, "hierarchical": HIERARCHICAL,
-                "naive": NAIVE_ATOMIC}
-    kwargs = {k: strategy[k] for k in
-              ("conflict", "layout_opt", "local_worklists", "sort_work",
-               "precision", "growth_factor", "priority", "min_chunk")
-              if k in strategy}
-    if "barrier" in strategy:
-        kwargs["barrier"] = barriers[strategy["barrier"]]
-    if "adaptive" in strategy:
-        kwargs["adaptive"] = adaptive_from_dict(strategy["adaptive"])
-    cfg = DMRConfig(seed=seed, **kwargs)
-    mesh = random_mesh(int(params.get("n_triangles", 600)), seed=seed)
-    cfg.record_cost_config(ctx.counter)
-    for op in mutations:
-        from ..meshing.gpu_insert import gpu_insert_points
-
-        mx, my = mutation_points(op)
-        ins = gpu_insert_points(mesh, mx, my, seed=int(op.get("seed", 0)),
-                                counter=ctx.counter,
-                                resilience=getattr(ctx, "resilience", None))
-        mesh = ins.mesh
-    res = refine_gpu(mesh, cfg, counter=ctx.counter,
-                     resilience=getattr(ctx, "resilience", None))
-    out = res.mesh
-    arrays = (out.tri[: out.n_tris], out.px[: out.n_pts],
-              out.py[: out.n_pts], out.isdel[: out.n_tris])
-    summary = {"rounds": res.rounds, "processed": res.processed,
-               "points_added": res.points_added,
-               "aborted_conflicts": res.aborted_conflicts,
-               "aborted_geometry": res.aborted_geometry,
-               "converged": res.converged,
-               "triangles": int(out.num_triangles)}
-    return arrays, summary
+    cfg = dmr_config(strategy, seed)
+    mesh, ops = dmr_input(params, seed)
+    resilience = getattr(ctx, "resilience", None)
+    mesh = dmr_insert(mesh, ops, cfg, ctx.counter, resilience)
+    return dmr_refine(mesh, cfg, ctx.counter, resilience)

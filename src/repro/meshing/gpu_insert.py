@@ -39,7 +39,9 @@ from ..vgpu.memory import RecyclePool
 from .cavity import delaunay_cavity, locate, retriangulate
 from .mesh import TriMesh
 
-__all__ = ["InsertResult", "gpu_insert_points", "serve_job"]
+__all__ = ["InsertResult", "gpu_insert_points", "insertion_mesh",
+           "insertion_points", "insertion_sizes", "insertion_solve",
+           "serve_job"]
 
 
 @dataclass
@@ -211,6 +213,54 @@ def _insert_impl(mesh: TriMesh, x: np.ndarray, y: np.ndarray, *,
 # repro.serve adapter                                                #
 # ------------------------------------------------------------------ #
 
+def insertion_sizes(params) -> dict:
+    """``n_triangles`` (default 300) and ``n_points`` (default 12), as
+    :func:`insertion_mesh` and :func:`insertion_points` read them."""
+    return {"n_triangles": int(params.get("n_triangles", 300)),
+            "n_points": int(params.get("n_points", 12))}
+
+
+def insertion_mesh(params, seed: int) -> TriMesh:
+    """The job's base mesh: :func:`insertion_sizes` triangles from
+    ``seed``.  Insertion mutates it, so every solve builds a fresh one."""
+    from .generate import random_mesh
+
+    return random_mesh(insertion_sizes(params)["n_triangles"], seed=seed)
+
+
+def insertion_points(params, seed: int):
+    """The job's point batch ``(x, y)``: uniform in the interior box
+    ``[0.3, 0.7]^2`` from ``seed + 1``, then ``params["mutations"]``."""
+    from ..serve.mutations import apply_point_mutations, check_mutations
+
+    mutations = check_mutations("insertion", params.get("mutations", ()))
+    rng = np.random.default_rng(seed + 1)
+    n_points = insertion_sizes(params)["n_points"]
+    x = rng.uniform(0.3, 0.7, n_points)
+    y = rng.uniform(0.3, 0.7, n_points)
+    if mutations:
+        x, y = apply_point_mutations(x, y, mutations)
+    return x, y
+
+
+def insertion_solve(mesh: TriMesh, x, y, strategy, seed: int, counter,
+                    resilience=None):
+    """Insert ``(x, y)`` into ``mesh`` with the strategy's
+    ``max_points_per_round``; returns the job's ``(arrays, summary)``."""
+    res = gpu_insert_points(
+        mesh, x, y, seed=seed, counter=counter,
+        max_points_per_round=int(strategy.get("max_points_per_round", 4096)),
+        resilience=resilience)
+    out = res.mesh
+    arrays = (out.tri[: out.n_tris], out.px[: out.n_pts],
+              out.py[: out.n_pts], out.isdel[: out.n_tris])
+    summary = {"rounds": res.rounds, "inserted": res.inserted,
+               "duplicates_skipped": res.duplicates_skipped,
+               "aborted_conflicts": res.aborted_conflicts,
+               "triangles": int(out.num_triangles)}
+    return arrays, summary
+
+
 def serve_job(params, strategy, seed, ctx):
     """Job adapter for :mod:`repro.serve` (``algorithm="insertion"``).
 
@@ -224,29 +274,14 @@ random_mesh` cover the unit square, so the box stays inside the hull).
     ``params["mutations"]`` may carry an ``add_points``/``drop_points``
     stream (:mod:`repro.serve.mutations`) edit-listing the insertion
     batch before it runs.
+
+    Composes :func:`insertion_mesh`, :func:`insertion_points` and
+    :func:`insertion_solve`, as the session planner does.
     """
-    from ..serve.mutations import apply_point_mutations, check_mutations
     from ..tune import resolve_strategy
-    from .generate import random_mesh
 
     strategy = resolve_strategy("insertion", params, strategy)
-    mutations = check_mutations("insertion", params.get("mutations", ()))
-    mesh = random_mesh(int(params.get("n_triangles", 300)), seed=seed)
-    rng = np.random.default_rng(seed + 1)
-    n_points = int(params.get("n_points", 12))
-    x = rng.uniform(0.3, 0.7, n_points)
-    y = rng.uniform(0.3, 0.7, n_points)
-    if mutations:
-        x, y = apply_point_mutations(x, y, mutations)
-    res = gpu_insert_points(
-        mesh, x, y, seed=seed, counter=ctx.counter,
-        max_points_per_round=int(strategy.get("max_points_per_round", 4096)),
-        resilience=getattr(ctx, "resilience", None))
-    out = res.mesh
-    arrays = (out.tri[: out.n_tris], out.px[: out.n_pts],
-              out.py[: out.n_pts], out.isdel[: out.n_tris])
-    summary = {"rounds": res.rounds, "inserted": res.inserted,
-               "duplicates_skipped": res.duplicates_skipped,
-               "aborted_conflicts": res.aborted_conflicts,
-               "triangles": int(out.num_triangles)}
-    return arrays, summary
+    mesh = insertion_mesh(params, seed)
+    x, y = insertion_points(params, seed)
+    return insertion_solve(mesh, x, y, strategy, seed, ctx.counter,
+                           getattr(ctx, "resilience", None))

@@ -36,7 +36,8 @@ from ..resilience.policy import launch_ok, maybe_activate_resilience
 from ..vgpu.atomics import atomic_min
 from ..vgpu.instrument import SANITIZER, TRACER, trace_span
 
-__all__ = ["MSTResult", "boruvka_gpu", "serve_job"]
+__all__ = ["MSTResult", "boruvka_gpu", "mst_barrier", "mst_input",
+           "mst_output", "mst_sizes", "mst_solve", "serve_job"]
 
 _INF = np.int64(2**62)
 
@@ -184,6 +185,53 @@ def _boruvka_impl(num_nodes: int, src: np.ndarray, dst: np.ndarray,
 # repro.serve adapter                                                #
 # ------------------------------------------------------------------ #
 
+def mst_sizes(params) -> dict:
+    """``num_nodes`` (default 300) and ``num_edges`` (default four per
+    node), as :func:`mst_input` reads them."""
+    num_nodes = int(params.get("num_nodes", 300))
+    return {"num_nodes": num_nodes,
+            "num_edges": int(params.get("num_edges", 4 * num_nodes))}
+
+
+def mst_input(params, seed: int):
+    """The job's edge list ``(n, lo, hi, w)``: a random graph of
+    :func:`mst_sizes` from ``seed``, then ``params["mutations"]``."""
+    from ..graphgen import random_graph
+    from ..serve.mutations import apply_graph_mutations, check_mutations
+
+    mutations = check_mutations("mst", params.get("mutations", ()))
+    sizes = mst_sizes(params)
+    n, lo, hi, w = random_graph(sizes["num_nodes"], sizes["num_edges"],
+                                seed=seed)
+    if mutations:
+        lo, hi, w = apply_graph_mutations(n, lo, hi, w, mutations)
+    return n, lo, hi, w
+
+
+def mst_barrier(strategy):
+    """The barrier model ``strategy["barrier"]`` names, or ``None`` for
+    the cost model's default."""
+    from ..vgpu.sync import BARRIERS
+
+    return BARRIERS[strategy["barrier"]] if "barrier" in strategy else None
+
+
+def mst_solve(n, lo, hi, w, barrier, counter, resilience=None):
+    """Contract the edge list; returns the job's ``(arrays, summary)``."""
+    res = boruvka_gpu(n, lo, hi, w, counter=counter, barrier=barrier,
+                      resilience=resilience)
+    return mst_output(res.mst_edges, w, res.rounds, res.num_components)
+
+
+def mst_output(mst: np.ndarray, w: np.ndarray, rounds: int,
+               num_components: int) -> tuple[tuple, dict]:
+    """The job's ``(arrays, summary)`` for the MST edge ids ``mst``."""
+    summary = {"total_weight": int(w[mst].sum()), "rounds": rounds,
+               "num_components": num_components,
+               "mst_edges": int(mst.size)}
+    return (mst,), summary
+
+
 def serve_job(params, strategy, seed, ctx):
     """Job adapter for :mod:`repro.serve` (``algorithm="mst"``).
 
@@ -197,25 +245,13 @@ def serve_job(params, strategy, seed, ctx):
     ``add_edges``/``drop_edges``/``reweight_edges`` stream
     (:mod:`repro.serve.mutations`) — the dynamic-connectivity "edge
     update stream" shape — applied to the edge list before contraction.
+
+    Composes :func:`mst_input`, :func:`mst_barrier` and
+    :func:`mst_solve`, as the session planner does.
     """
-    from ..graphgen import random_graph
-    from ..serve.mutations import apply_graph_mutations, check_mutations
     from ..tune import resolve_strategy
-    from ..vgpu.sync import FENCE, HIERARCHICAL, NAIVE_ATOMIC
 
     strategy = resolve_strategy("mst", params, strategy)
-    mutations = check_mutations("mst", params.get("mutations", ()))
-    barriers = {"fence": FENCE, "hierarchical": HIERARCHICAL,
-                "naive": NAIVE_ATOMIC}
-    barrier = barriers[strategy["barrier"]] if "barrier" in strategy else None
-    num_nodes = int(params.get("num_nodes", 300))
-    num_edges = int(params.get("num_edges", 4 * num_nodes))
-    n, src, dst, w = random_graph(num_nodes, num_edges, seed=seed)
-    if mutations:
-        src, dst, w = apply_graph_mutations(n, src, dst, w, mutations)
-    res = boruvka_gpu(n, src, dst, w, counter=ctx.counter, barrier=barrier,
-                      resilience=getattr(ctx, "resilience", None))
-    summary = {"total_weight": int(res.total_weight), "rounds": res.rounds,
-               "num_components": res.num_components,
-               "mst_edges": int(res.mst_edges.size)}
-    return (res.mst_edges,), summary
+    n, lo, hi, w = mst_input(params, seed)
+    return mst_solve(n, lo, hi, w, mst_barrier(strategy), ctx.counter,
+                     getattr(ctx, "resilience", None))

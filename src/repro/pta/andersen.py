@@ -41,11 +41,12 @@ from ..resilience.addition import FallbackStorage
 from ..resilience.policy import launch_ok, maybe_activate_resilience
 from ..vgpu.instrument import SANITIZER, TRACER, trace_span
 from .bitset import BitMatrix
-from .constraints import Constraints, Kind
+from .constraints import Constraints, Kind, generate_constraints
 from .graph import PullGraph
 
 __all__ = ["PTAResult", "andersen_pull", "deref_pointers",
-           "induced_edges", "pull_sweep", "serve_job"]
+           "induced_edges", "pta_config", "pta_input", "pta_output",
+           "pta_sizes", "pta_solve", "pull_sweep", "serve_job"]
 
 
 @dataclass
@@ -248,6 +249,54 @@ def pull_sweep(pts: BitMatrix, graph: PullGraph, touched: np.ndarray,
 # repro.serve adapter                                                #
 # ------------------------------------------------------------------ #
 
+def pta_sizes(params) -> dict:
+    """``num_vars`` (default 120) and ``num_constraints`` (default 200),
+    as :func:`pta_input` reads them."""
+    return {"num_vars": int(params.get("num_vars", 120)),
+            "num_constraints": int(params.get("num_constraints", 200))}
+
+
+def pta_input(params, seed: int) -> Constraints:
+    """The job's constraint set: :func:`pta_sizes` synthesized from
+    ``seed``, then ``params["mutations"]``."""
+    from ..serve.mutations import apply_constraint_mutations, check_mutations
+
+    mutations = check_mutations("pta", params.get("mutations", ()))
+    sizes = pta_sizes(params)
+    cons = generate_constraints(sizes["num_vars"], sizes["num_constraints"],
+                                seed=seed)
+    if mutations:
+        cons = apply_constraint_mutations(cons, mutations)
+    return cons
+
+
+def pta_config(strategy) -> tuple[str, int]:
+    """``(variant, chunk_size)``: ``"pull"`` (the default) or
+    ``"push"``, and the Kernel-Only allocator granule."""
+    return (strategy.get("variant", "pull"),
+            int(strategy.get("chunk_size", 1024)))
+
+
+def pta_solve(cons: Constraints, variant: str, chunk_size: int, counter,
+              resilience=None) -> PTAResult:
+    """Solve ``cons`` with the ``variant`` solver."""
+    solver = andersen_pull
+    if variant != "pull":
+        from .push import andersen_push as solver
+    return solver(cons, counter=counter, chunk_size=chunk_size,
+                  resilience=resilience)
+
+
+def pta_output(pts: BitMatrix, rounds: int, edges_added: int, sweeps: int,
+               variant: str) -> tuple[tuple, dict]:
+    """The job's ``(arrays, summary)`` for the fixed point ``pts``."""
+    counts = pts.counts()
+    summary = {"rounds": int(rounds), "edges_added": int(edges_added),
+               "propagation_sweeps": int(sweeps),
+               "total_facts": int(counts.sum()), "variant": variant}
+    return (pts.bits, counts), summary
+
+
 def serve_job(params, strategy, seed, ctx):
     """Job adapter for :mod:`repro.serve` (``algorithm="pta"``).
 
@@ -262,28 +311,15 @@ def serve_job(params, strategy, seed, ctx):
     ``add_constraints``/``drop_constraints`` stream
     (:mod:`repro.serve.mutations`) — the incremental-PTA "new
     constraints arrive" shape — applied before solving.
+
+    Composes :func:`pta_input`, :func:`pta_config`, :func:`pta_solve`
+    and :func:`pta_output`, as the session planner does.
     """
-    from ..serve.mutations import apply_constraint_mutations, check_mutations
     from ..tune import resolve_strategy
-    from .constraints import generate_constraints
 
     strategy = resolve_strategy("pta", params, strategy)
-    mutations = check_mutations("pta", params.get("mutations", ()))
-    cons = generate_constraints(int(params.get("num_vars", 120)),
-                                int(params.get("num_constraints", 200)),
-                                seed=seed)
-    if mutations:
-        cons = apply_constraint_mutations(cons, mutations)
-    variant = strategy.get("variant", "pull")
-    if variant == "pull":
-        solver = andersen_pull
-    else:
-        from .push import andersen_push
-        solver = andersen_push
-    res = solver(cons, counter=ctx.counter,
-                 chunk_size=int(strategy.get("chunk_size", 1024)),
-                 resilience=getattr(ctx, "resilience", None))
-    summary = {"rounds": res.rounds, "edges_added": res.edges_added,
-               "propagation_sweeps": res.propagation_sweeps,
-               "total_facts": res.total_facts(), "variant": variant}
-    return (res.pts.bits, res.pts.counts()), summary
+    variant, chunk_size = pta_config(strategy)
+    res = pta_solve(pta_input(params, seed), variant, chunk_size,
+                    ctx.counter, getattr(ctx, "resilience", None))
+    return pta_output(res.pts, res.rounds, res.edges_added,
+                      res.propagation_sweeps, variant)

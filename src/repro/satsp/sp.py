@@ -35,11 +35,12 @@ from ..core.counters import OpCounter
 from ..resilience.policy import launch_ok, maybe_activate_resilience
 from ..vgpu.instrument import SANITIZER, TRACER, trace_span
 from .factorgraph import FactorGraph, exclude_one, _ZERO
-from .formula import CNF
+from .formula import CNF, random_ksat
 from .walksat import walksat
 
 __all__ = ["SPConfig", "SPResult", "survey_iteration", "run_sp",
-           "solve_sp", "serve_job"]
+           "solve_sp", "sp_config", "sp_input", "sp_sizes", "sp_solve",
+           "serve_job"]
 
 
 @dataclass
@@ -255,6 +256,45 @@ def solve_sp(cnf: CNF, cfg: SPConfig | None = None,
 # repro.serve adapter                                                #
 # ------------------------------------------------------------------ #
 
+def sp_sizes(params) -> dict:
+    """``num_vars`` (default 200), as :func:`sp_input` reads it."""
+    return {"num_vars": int(params.get("num_vars", 200))}
+
+
+def sp_input(params, seed: int) -> CNF:
+    """The job's formula: random K-SAT over :func:`sp_sizes` (``k``
+    default 3, ``ratio`` default 3.2) from ``seed``, then
+    ``params["mutations"]``."""
+    from ..serve.mutations import apply_clause_mutations, check_mutations
+
+    mutations = check_mutations("sp", params.get("mutations", ()))
+    cnf = random_ksat(sp_sizes(params)["num_vars"], int(params.get("k", 3)),
+                      ratio=float(params.get("ratio", 3.2)), seed=seed)
+    if mutations:
+        cnf = apply_clause_mutations(cnf, mutations)
+    return cnf
+
+
+def sp_config(strategy, seed: int) -> SPConfig:
+    """The :class:`SPConfig` a strategy dict describes."""
+    kwargs = {k: strategy[k] for k in
+              ("cached", "damping", "eps", "decimation_fraction",
+               "require_convergence") if k in strategy}
+    return SPConfig(seed=seed, **kwargs)
+
+
+def sp_solve(cnf: CNF, cfg: SPConfig, counter, resilience=None):
+    """Run SP + WalkSAT; returns the job's ``(arrays, summary)``."""
+    res = solve_sp(cnf, cfg, counter=counter, resilience=resilience)
+    assignment = (res.assignment if res.assignment is not None
+                  else np.zeros(0, dtype=np.int64))
+    summary = {"status": res.status, "phases": res.phases,
+               "total_iterations": res.total_iterations,
+               "fixed_by_sp": res.fixed_by_sp,
+               "solved_by_walksat": res.solved_by_walksat}
+    return (assignment,), summary
+
+
 def serve_job(params, strategy, seed, ctx):
     """Job adapter for :mod:`repro.serve` (``algorithm="sp"``).
 
@@ -268,28 +308,12 @@ def serve_job(params, strategy, seed, ctx):
     ``params["mutations"]`` may carry an ``add_clauses``/``drop_clauses``
     stream (:mod:`repro.serve.mutations`) applied to the generated
     formula before solving.
+
+    Composes :func:`sp_input`, :func:`sp_config` and :func:`sp_solve`,
+    as the session planner does.
     """
-    from ..serve.mutations import apply_clause_mutations, check_mutations
     from ..tune import resolve_strategy
-    from .formula import random_ksat
 
     strategy = resolve_strategy("sp", params, strategy)
-    mutations = check_mutations("sp", params.get("mutations", ()))
-    cnf = random_ksat(int(params.get("num_vars", 200)),
-                      int(params.get("k", 3)),
-                      ratio=float(params.get("ratio", 3.2)),
-                      seed=seed)
-    if mutations:
-        cnf = apply_clause_mutations(cnf, mutations)
-    kwargs = {k: strategy[k] for k in
-              ("cached", "damping", "eps", "decimation_fraction",
-               "require_convergence") if k in strategy}
-    res = solve_sp(cnf, SPConfig(seed=seed, **kwargs), counter=ctx.counter,
-                   resilience=getattr(ctx, "resilience", None))
-    assignment = (res.assignment if res.assignment is not None
-                  else np.zeros(0, dtype=np.int64))
-    summary = {"status": res.status, "phases": res.phases,
-               "total_iterations": res.total_iterations,
-               "fixed_by_sp": res.fixed_by_sp,
-               "solved_by_walksat": res.solved_by_walksat}
-    return (assignment,), summary
+    return sp_solve(sp_input(params, seed), sp_config(strategy, seed),
+                    ctx.counter, getattr(ctx, "resilience", None))

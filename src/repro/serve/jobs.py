@@ -41,7 +41,7 @@ from .faults import FaultPlan
 
 __all__ = ["JobSpec", "JobContext", "JobResult", "JobError",
            "digest_arrays", "get_adapter", "known_algorithms",
-           "estimate_cost"]
+           "estimate_cost", "engine_input", "engine_sizes", "engine_solve"]
 
 
 class JobError(RuntimeError):
@@ -197,27 +197,38 @@ class _ServeColoring:
         return True
 
 
-def _engine_job(params: Mapping, strategy: Mapping, seed: int,
-                ctx: JobContext):
-    """Adapter for ``algorithm="engine"``: recolor a random graph via
-    :func:`repro.core.engine.run_morph_rounds`, with full
-    checkpoint/resume support.  ``params["mutations"]`` may carry an
-    ``add_edges``/``drop_edges``/``reweight_edges`` stream
-    (:mod:`repro.serve.mutations`) applied to the edge list before the
-    graph is frozen into CSR."""
-    from ..graphgen import random_graph, undirected_edges_to_csr
-    from ..tune import resolve_strategy
+def engine_sizes(params) -> dict:
+    """``num_nodes`` (default 200) and ``num_edges`` (default three per
+    node), as :func:`engine_input` reads them."""
+    num_nodes = int(params.get("num_nodes", 200))
+    return {"num_nodes": num_nodes,
+            "num_edges": int(params.get("num_edges", 3 * num_nodes))}
+
+
+def engine_input(params: Mapping, seed: int):
+    """The job's edge list ``(n, lo, hi, w)``: a random graph of
+    :func:`engine_sizes` from ``seed``, then ``params["mutations"]``."""
+    from ..graphgen import random_graph
     from .mutations import apply_graph_mutations, check_mutations
 
-    strategy = resolve_strategy("engine", params, strategy)
     mutations = check_mutations("engine", params.get("mutations", ()))
-    num_nodes = int(params.get("num_nodes", 200))
-    num_edges = int(params.get("num_edges", 3 * num_nodes))
-    n, src, dst, w = random_graph(num_nodes, num_edges, seed=seed)
+    sizes = engine_sizes(params)
+    n, lo, hi, w = random_graph(sizes["num_nodes"], sizes["num_edges"],
+                                seed=seed)
     if mutations:
-        src, dst, w = apply_graph_mutations(n, src, dst, w, mutations)
-    g = undirected_edges_to_csr(n, src, dst, w)
+        lo, hi, w = apply_graph_mutations(n, lo, hi, w, mutations)
+    return n, lo, hi, w
 
+
+def engine_solve(n, lo, hi, w, params: Mapping, strategy: Mapping,
+                 seed: int, ctx: JobContext):
+    """Recolor the graph via :func:`repro.core.engine.run_morph_rounds`
+    under ``ctx``'s counter, round hook, checkpoint cadence and resume
+    state; returns the job's ``(arrays, summary)``."""
+    from ..graphgen import undirected_edges_to_csr
+    from ..resilience.policy import maybe_activate_resilience
+
+    g = undirected_edges_to_csr(n, lo, hi, w)
     colors = np.random.default_rng(seed).integers(0, 2, size=n)
     work = _ServeColoring(g, colors)
     rng = np.random.default_rng(seed + 1)
@@ -227,8 +238,6 @@ def _engine_job(params: Mapping, strategy: Mapping, seed: int,
         if not isinstance(resume, EngineCheckpoint):
             raise JobError("engine job got a foreign checkpoint payload")
         work.colors = np.array(resume.payload, dtype=colors.dtype)
-
-    from ..resilience.policy import maybe_activate_resilience
 
     with maybe_activate_resilience(ctx.resilience):
         stats = run_morph_rounds(
@@ -249,6 +258,23 @@ def _engine_job(params: Mapping, strategy: Mapping, seed: int,
                "num_colors": int(work.colors.max()) + 1,
                "proper": not work.conflicted()}
     return (work.colors,), summary
+
+
+def _engine_job(params: Mapping, strategy: Mapping, seed: int,
+                ctx: JobContext):
+    """Adapter for ``algorithm="engine"``: recolor a random graph via
+    :func:`repro.core.engine.run_morph_rounds`, with full
+    checkpoint/resume support.  ``params["mutations"]`` may carry an
+    ``add_edges``/``drop_edges``/``reweight_edges`` stream
+    (:mod:`repro.serve.mutations`) applied to the edge list before the
+    graph is frozen into CSR.  Composes :func:`engine_input` and
+    :func:`engine_solve`, as the session planner does.
+    """
+    from ..tune import resolve_strategy
+
+    strategy = resolve_strategy("engine", params, strategy)
+    n, lo, hi, w = engine_input(params, seed)
+    return engine_solve(n, lo, hi, w, params, strategy, seed, ctx)
 
 
 # ------------------------------------------------------------------ #

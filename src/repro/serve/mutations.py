@@ -40,7 +40,9 @@ import numpy as np
 
 __all__ = ["OPS_BY_ALGORITHM", "GraphMutationEffect", "check_mutations",
            "apply_graph_mutations", "apply_graph_mutations_tracked",
-           "apply_clause_mutations", "apply_constraint_mutations",
+           "apply_clause_mutations", "apply_clause_mutations_tracked",
+           "apply_constraint_mutations",
+           "apply_constraint_mutations_tracked",
            "apply_point_mutations", "mutation_points"]
 
 #: max exclusive edge weight, matching ``repro.graphgen.generators``
@@ -224,9 +226,17 @@ def apply_graph_mutations_tracked(num_nodes: int, lo: np.ndarray,
 
 def apply_clause_mutations(cnf, mutations: Iterable[Mapping]):
     """Apply a clause-mutation stream to a :class:`repro.satsp.formula.CNF`."""
+    return apply_clause_mutations_tracked(cnf, mutations)[0]
+
+
+def apply_clause_mutations_tracked(cnf, mutations: Iterable[Mapping]):
+    """:func:`apply_clause_mutations` plus one ``(added, dropped)`` pair
+    of ``CNF`` per op: the clauses it appended and those it removed."""
     from ..satsp.formula import CNF, random_ksat
 
     vars_, signs = cnf.vars, cnf.signs
+    none = CNF(cnf.num_vars, vars_[:0], signs[:0])
+    changes = []
     for op in mutations:
         rng, count = _op_rng(op), _count(op)
         if op["op"] == "add_clauses":
@@ -234,12 +244,15 @@ def apply_clause_mutations(cnf, mutations: Iterable[Mapping]):
                                 seed=int(op.get("seed", 0)))
             vars_ = np.concatenate([vars_, extra.vars])
             signs = np.concatenate([signs, extra.signs])
+            changes.append((extra, none))
         elif op["op"] == "drop_clauses":
             keep = _drop_indices(rng, vars_.shape[0], count)
+            changes.append((none, CNF(cnf.num_vars, vars_[~keep],
+                                      signs[~keep])))
             vars_, signs = vars_[keep], signs[keep]
         else:  # pragma: no cover
             raise ValueError(f"unknown clause mutation {op['op']!r}")
-    return CNF(cnf.num_vars, vars_, signs)
+    return CNF(cnf.num_vars, vars_, signs), changes
 
 
 # ------------------------------------------------------------------ #
@@ -249,9 +262,18 @@ def apply_clause_mutations(cnf, mutations: Iterable[Mapping]):
 def apply_constraint_mutations(cons, mutations: Iterable[Mapping]):
     """Apply a constraint-mutation stream to a
     :class:`repro.pta.constraints.Constraints` set."""
+    return apply_constraint_mutations_tracked(cons, mutations)[0]
+
+
+def apply_constraint_mutations_tracked(cons, mutations: Iterable[Mapping]):
+    """:func:`apply_constraint_mutations` plus one ``(added, dropped)``
+    pair of ``Constraints`` per op: the constraints it appended and
+    those it removed."""
     from ..pta.constraints import Constraints, generate_constraints
 
     kind, lhs, rhs = cons.kind, cons.lhs, cons.rhs
+    none = Constraints(cons.num_vars, kind[:0], lhs[:0], rhs[:0])
+    changes = []
     for op in mutations:
         rng, count = _op_rng(op), _count(op)
         if op["op"] == "add_constraints":
@@ -260,12 +282,15 @@ def apply_constraint_mutations(cons, mutations: Iterable[Mapping]):
             kind = np.concatenate([kind, extra.kind])
             lhs = np.concatenate([lhs, extra.lhs])
             rhs = np.concatenate([rhs, extra.rhs])
+            changes.append((extra, none))
         elif op["op"] == "drop_constraints":
             keep = _drop_indices(rng, kind.size, count)
+            changes.append((none, Constraints(cons.num_vars, kind[~keep],
+                                              lhs[~keep], rhs[~keep])))
             kind, lhs, rhs = kind[keep], lhs[keep], rhs[keep]
         else:  # pragma: no cover
             raise ValueError(f"unknown constraint mutation {op['op']!r}")
-    return Constraints(cons.num_vars, kind, lhs, rhs)
+    return Constraints(cons.num_vars, kind, lhs, rhs), changes
 
 
 # ------------------------------------------------------------------ #

@@ -143,18 +143,6 @@ class Scheduler:
 
         return TuningCache(self.tune_cache)
 
-    def run_sessions(self, specs) -> BatchReport:
-        """Run a batch of incremental sessions.
-
-        ``specs`` may mix :class:`repro.sessions.SessionSpec` entries
-        (folded into session jobs via ``to_job_spec``) and plain
-        :class:`JobSpec` entries; scheduling, tracing, and recording
-        behave exactly as for :meth:`run_batch`.
-        """
-        return self.run_batch([
-            s.to_job_spec() if hasattr(s, "to_job_spec") else s
-            for s in specs])
-
     def run_batch(self, specs) -> BatchReport:
         """Run ``specs`` in policy order; records keep that order.
 

@@ -3,7 +3,7 @@
 Subcommands::
 
     run <sessions.json> [--checkpoint-dir DIR] [--report FILE]
-                        [--verify-full] [--keep-latest N]
+                        [--verify-full]
 
 ``run`` opens each session, streams its batches, and prints one row
 per batch (recompute mode, dirty fraction, modeled cost vs. the latest
@@ -12,7 +12,8 @@ checked against a cold full recompute on the equivalently mutated
 input — the differential guarantee, enforced end to end.  With
 ``--checkpoint-dir`` a session saves a versioned checkpoint every
 ``checkpoint_every`` batches and after its last batch (none at 0),
-pruned to ``--keep-latest``; a rerun resumes past the saved batches.
+keeping the newest three versions; a rerun resumes past the saved
+batches.
 
 The input file holds ``{"sessions": [<session spec>, ...]}``, a bare
 list, or a single spec object (see
@@ -94,8 +95,6 @@ def main(argv=None) -> int:
                                   "({'sessions': [...]}, list, or object)")
     run.add_argument("--checkpoint-dir", default=None,
                      help="save every checkpoint_every batches and at the end")
-    run.add_argument("--keep-latest", type=int, default=3,
-                     help="versioned checkpoints retained per session")
     run.add_argument("--verify-full", action="store_true",
                      help="after every batch, compare against a cold "
                           "full recompute (the differential gate)")
@@ -109,8 +108,7 @@ def main(argv=None) -> int:
         print(f"error: cannot load {args.file}: {exc}", file=sys.stderr)
         return 2
 
-    store = (CheckpointStore(args.checkpoint_dir,
-                             keep_latest=args.keep_latest)
+    store = (CheckpointStore(args.checkpoint_dir)
              if args.checkpoint_dir else None)
     ok = True
     report = []

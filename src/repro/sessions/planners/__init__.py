@@ -21,11 +21,19 @@ mutation batch, how much of the previous answer survives:
   their drivers' results depend on a global RNG trajectory that no
   local recompute can reproduce.
 
+A planner's ``open`` and its full recompute are not planner code: they
+call the functions the algorithm's cold :mod:`repro.serve` adapter is
+composed of (``mst_input``/``mst_solve`` in
+:mod:`repro.mst.boruvka_gpu`, ``pta_input``/``pta_solve`` in
+:mod:`repro.pta.andersen`, and so on), so they give the adapter's
+arrays, summary and modeled cost by construction.  Only the delta
+paths are written here.
+
 Every planner upholds the differential guarantee: after ``apply_batch``
-its ``arrays`` are byte-identical to what the algorithm's cold
-:mod:`repro.serve` adapter returns on the equivalently mutated input.
-A planner that cannot do that incrementally for some batch must say so
-(``mode="full"``) and recompute — never guess.
+its ``arrays`` are byte-identical to what the cold adapter returns on
+the equivalently mutated input.  A planner that cannot do that
+incrementally for some batch must say so (``mode="full"``) and
+recompute — never guess.
 """
 
 from __future__ import annotations

@@ -7,18 +7,16 @@ stream over the whole graph, so a one-edge change can lawfully recolor
 distant nodes.  The planner keeps the edge list incrementally (via
 :func:`repro.serve.mutations.apply_graph_mutations_tracked`), measures
 the dirty region as the nodes incident to changed edges, serves
-unchanged batches from cache, and otherwise recomputes fully with the
-exact cold-adapter discipline (same CSR build, same color-init and
-engine RNG seeds).
+unchanged batches from cache, and otherwise recomputes fully through
+the cold adapter's own :func:`repro.serve.jobs.engine_solve`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ...serve.mutations import (apply_graph_mutations,
-                                apply_graph_mutations_tracked,
-                                check_mutations)
+from ...serve.jobs import JobContext, engine_input, engine_solve
+from ...serve.mutations import apply_graph_mutations_tracked
 from . import BatchOutcome
 
 __all__ = ["EnginePlanner"]
@@ -37,44 +35,14 @@ class EnginePlanner:
         self.summary: dict = {}
 
     def open(self, counter, resilience=None) -> None:
-        from ...graphgen import random_graph
-
-        p = self.params
-        num_nodes = int(p.get("num_nodes", 200))
-        num_edges = int(p.get("num_edges", 3 * num_nodes))
-        self.n, self.lo, self.hi, self.w = random_graph(
-            num_nodes, num_edges, seed=self.seed)
-        mutations = check_mutations("engine", p.get("mutations", ()))
-        if mutations:
-            self.lo, self.hi, self.w = apply_graph_mutations(
-                self.n, self.lo, self.hi, self.w, mutations)
+        self.n, self.lo, self.hi, self.w = engine_input(self.params,
+                                                        self.seed)
         self._solve_full(counter, resilience)
 
     def _solve_full(self, counter, resilience) -> None:
-        from ...core.engine import run_morph_rounds
-        from ...graphgen import undirected_edges_to_csr
-        from ...resilience.policy import maybe_activate_resilience
-        from ...serve.jobs import _ServeColoring
-
-        g = undirected_edges_to_csr(self.n, self.lo, self.hi, self.w)
-        colors = np.random.default_rng(self.seed).integers(0, 2, size=self.n)
-        work = _ServeColoring(g, colors)
-        rng = np.random.default_rng(self.seed + 1)
-        with maybe_activate_resilience(resilience):
-            stats = run_morph_rounds(
-                work.conflicted, work.plan, work.apply,
-                lambda: g.num_nodes, rng=rng, counter=counter,
-                kernel="serve.recolor",
-                ensure_progress=bool(
-                    self.strategy.get("ensure_progress", True)),
-                max_rounds=int(self.params.get("max_rounds", 1_000_000)),
-                resilience=resilience,
-            )
-        self.arrays = (work.colors,)
-        self.summary = {"rounds": stats.rounds, "applied": stats.applied,
-                        "aborted": stats.aborted,
-                        "num_colors": int(work.colors.max()) + 1,
-                        "proper": not work.conflicted()}
+        self.arrays, self.summary = engine_solve(
+            self.n, self.lo, self.hi, self.w, self.params, self.strategy,
+            self.seed, JobContext(counter=counter, resilience=resilience))
 
     def apply_batch(self, ops, counter, threshold: float,
                     resilience=None) -> BatchOutcome:

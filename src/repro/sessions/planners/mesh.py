@@ -21,10 +21,10 @@ batches from cache, and recomputes fully otherwise.
 
 from __future__ import annotations
 
-import numpy as np
-
-from ...serve.mutations import (apply_point_mutations, check_mutations,
-                                mutation_points)
+from ...dmr.refine import dmr_config, dmr_input, dmr_insert, dmr_refine
+from ...meshing.gpu_insert import (insertion_mesh, insertion_points,
+                                   insertion_solve)
+from ...serve.mutations import apply_point_mutations
 from . import BatchOutcome
 
 __all__ = ["DmrPlanner", "InsertionPlanner"]
@@ -42,67 +42,18 @@ class DmrPlanner:
         self.arrays: tuple = ()
         self.summary: dict = {}
 
-    def _config(self):
-        from ...core.adaptive import adaptive_from_dict
-        from ...dmr.refine import DMRConfig
-        from ...vgpu.sync import FENCE, HIERARCHICAL, NAIVE_ATOMIC
-
-        barriers = {"fence": FENCE, "hierarchical": HIERARCHICAL,
-                    "naive": NAIVE_ATOMIC}
-        kwargs = {k: self.strategy[k] for k in
-                  ("conflict", "layout_opt", "local_worklists", "sort_work",
-                   "precision", "growth_factor", "priority", "min_chunk")
-                  if k in self.strategy}
-        if "barrier" in self.strategy:
-            kwargs["barrier"] = barriers[self.strategy["barrier"]]
-        if "adaptive" in self.strategy:
-            kwargs["adaptive"] = adaptive_from_dict(self.strategy["adaptive"])
-        return DMRConfig(seed=self.seed, **kwargs)
-
     def open(self, counter, resilience=None) -> None:
-        from ...meshing.generate import random_mesh
+        self.mesh, ops = dmr_input(self.params, self.seed)
+        self._solve(ops, counter, resilience)
 
-        mesh = random_mesh(int(self.params.get("n_triangles", 600)),
-                           seed=self.seed)
-        mutations = check_mutations("dmr",
-                                    self.params.get("mutations", ()))
-        self.mesh = mesh      # staged: inserted, never refined
-        self._insert(mutations, counter, resilience)
-        self._refine(counter, resilience)
-
-    def _insert(self, ops, counter, resilience) -> int:
-        from ...meshing.gpu_insert import gpu_insert_points
-
-        # The refine that follows prices the whole counter under its
-        # configuration; record it before the inserts' first launch.
-        self._config().record_cost_config(counter)
-        inserted = 0
-        for op in ops:
-            mx, my = mutation_points(op)
-            ins = gpu_insert_points(self.mesh, mx, my,
-                                    seed=int(op.get("seed", 0)),
-                                    counter=counter,
-                                    resilience=resilience)
-            self.mesh = ins.mesh
-            inserted += int(mx.size)
-        return inserted
-
-    def _refine(self, counter, resilience) -> None:
-        from ...dmr.refine import refine_gpu
-
-        # Refine a copy: the staged mesh must stay unrefined so the
-        # next batch's inserts land exactly where a cold run's would.
-        res = refine_gpu(self.mesh.copy(), self._config(),
-                         counter=counter, resilience=resilience)
-        out = res.mesh
-        self.arrays = (out.tri[: out.n_tris], out.px[: out.n_pts],
-                       out.py[: out.n_pts], out.isdel[: out.n_tris])
-        self.summary = {"rounds": res.rounds, "processed": res.processed,
-                        "points_added": res.points_added,
-                        "aborted_conflicts": res.aborted_conflicts,
-                        "aborted_geometry": res.aborted_geometry,
-                        "converged": res.converged,
-                        "triangles": int(out.num_triangles)}
+    def _solve(self, ops, counter, resilience) -> None:
+        """Stage ``ops``' inserts, then refine a copy: the staged mesh
+        must stay unrefined so the next batch's inserts land exactly
+        where a cold run's would."""
+        cfg = dmr_config(self.strategy, self.seed)
+        self.mesh = dmr_insert(self.mesh, ops, cfg, counter, resilience)
+        self.arrays, self.summary = dmr_refine(self.mesh.copy(), cfg,
+                                               counter, resilience)
 
     def apply_batch(self, ops, counter, threshold: float,
                     resilience=None) -> BatchOutcome:
@@ -111,10 +62,10 @@ class DmrPlanner:
             return BatchOutcome(mode="cached", dirty=0,
                                 population=int(self.mesh.n_pts),
                                 note="batch inserted no points")
-        inserted = self._insert(effective, counter, resilience)
-        self._refine(counter, resilience)
+        self._solve(effective, counter, resilience)
         return BatchOutcome(
-            mode="delta", dirty=inserted, population=int(self.mesh.n_pts),
+            mode="delta", dirty=sum(int(op["count"]) for op in effective),
+            population=int(self.mesh.n_pts),
             note="staged inserts replayed incrementally; refinement is a "
                  "full pass over the mutated mesh")
 
@@ -132,37 +83,13 @@ class InsertionPlanner:
         self.summary: dict = {}
 
     def open(self, counter, resilience=None) -> None:
-        rng = np.random.default_rng(self.seed + 1)
-        n_points = int(self.params.get("n_points", 12))
-        self.x = rng.uniform(0.3, 0.7, n_points)
-        self.y = rng.uniform(0.3, 0.7, n_points)
-        mutations = check_mutations("insertion",
-                                    self.params.get("mutations", ()))
-        if mutations:
-            self.x, self.y = apply_point_mutations(self.x, self.y,
-                                                   mutations)
+        self.x, self.y = insertion_points(self.params, self.seed)
         self._solve_full(counter, resilience)
 
     def _solve_full(self, counter, resilience) -> None:
-        from ...meshing.generate import random_mesh
-        from ...meshing.gpu_insert import gpu_insert_points
-
-        # The base mesh is regenerated per solve (inserts mutate it),
-        # exactly as the cold adapter does.
-        mesh = random_mesh(int(self.params.get("n_triangles", 300)),
-                           seed=self.seed)
-        res = gpu_insert_points(
-            mesh, self.x, self.y, seed=self.seed, counter=counter,
-            max_points_per_round=int(
-                self.strategy.get("max_points_per_round", 4096)),
-            resilience=resilience)
-        out = res.mesh
-        self.arrays = (out.tri[: out.n_tris], out.px[: out.n_pts],
-                       out.py[: out.n_pts], out.isdel[: out.n_tris])
-        self.summary = {"rounds": res.rounds, "inserted": res.inserted,
-                        "duplicates_skipped": res.duplicates_skipped,
-                        "aborted_conflicts": res.aborted_conflicts,
-                        "triangles": int(out.num_triangles)}
+        self.arrays, self.summary = insertion_solve(
+            insertion_mesh(self.params, self.seed), self.x, self.y,
+            self.strategy, self.seed, counter, resilience)
 
     def apply_batch(self, ops, counter, threshold: float,
                     resilience=None) -> BatchOutcome:

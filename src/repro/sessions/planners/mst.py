@@ -47,9 +47,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ...serve.mutations import (apply_graph_mutations,
-                                apply_graph_mutations_tracked,
-                                check_mutations)
+from ...mst.boruvka_gpu import mst_barrier, mst_input, mst_output, mst_solve
+from ...serve.mutations import apply_graph_mutations_tracked
 from . import BatchOutcome
 
 __all__ = ["MstPlanner", "forest_components"]
@@ -130,43 +129,15 @@ class MstPlanner:
         self.arrays: tuple = ()
         self.summary: dict = {}
 
-    def _barrier(self):
-        from ...vgpu.sync import FENCE, HIERARCHICAL, NAIVE_ATOMIC
-        barriers = {"fence": FENCE, "hierarchical": HIERARCHICAL,
-                    "naive": NAIVE_ATOMIC}
-        return (barriers[self.strategy["barrier"]]
-                if "barrier" in self.strategy else None)
-
     def open(self, counter, resilience=None) -> None:
-        """Cold build + solve, mirroring the serve adapter exactly."""
-        from ...graphgen import random_graph
-
-        p = self.params
-        num_nodes = int(p.get("num_nodes", 300))
-        num_edges = int(p.get("num_edges", 4 * num_nodes))
-        self.n, self.lo, self.hi, self.w = random_graph(
-            num_nodes, num_edges, seed=self.seed)
-        mutations = check_mutations("mst", p.get("mutations", ()))
-        if mutations:
-            self.lo, self.hi, self.w = apply_graph_mutations(
-                self.n, self.lo, self.hi, self.w, mutations)
+        self.n, self.lo, self.hi, self.w = mst_input(self.params, self.seed)
         self._solve_full(counter, resilience)
 
     def _solve_full(self, counter, resilience) -> None:
-        from ...mst.boruvka_gpu import boruvka_gpu
-
-        res = boruvka_gpu(self.n, self.lo, self.hi, self.w,
-                          counter=counter, barrier=self._barrier(),
-                          resilience=resilience)
-        self.mst = np.asarray(res.mst_edges, dtype=np.int64)
-        self._publish(res.rounds, res.num_components)
-
-    def _publish(self, rounds: int, num_components: int) -> None:
-        self.arrays = (self.mst,)
-        total = int(self.w[self.mst].sum()) if self.mst.size else 0
-        self.summary = {"total_weight": total, "rounds": rounds,
-                        "num_components": num_components,
-                        "mst_edges": int(self.mst.size)}
+        self.arrays, self.summary = mst_solve(
+            self.n, self.lo, self.hi, self.w, mst_barrier(self.strategy),
+            counter, resilience)
+        self.mst = self.arrays[0]
 
     def _sparse_finish(self, cand: np.ndarray, counter) -> np.ndarray:
         """MST edge ids of the ascending candidate sublist.
@@ -224,7 +195,8 @@ class MstPlanner:
         outcome = BatchOutcome(mode="delta", dirty=dirty, population=m)
         if m == 0:
             self.mst = np.zeros(0, dtype=np.int64)
-            self._publish(0, self.n)
+            self.arrays, self.summary = mst_output(self.mst, self.w, 0,
+                                                   self.n)
             outcome.note = "edge list emptied; trivial forest"
             return outcome
         if outcome.dirty_fraction > threshold:
@@ -242,5 +214,6 @@ class MstPlanner:
         counter.launch("sessions.mst.cut", items=m, word_reads=3 * m,
                        word_writes=dirty, barriers=1)
         self.mst = self._sparse_finish(cand, counter)
-        self._publish(0, self.n - int(self.mst.size))
+        self.arrays, self.summary = mst_output(
+            self.mst, self.w, 0, self.n - int(self.mst.size))
         return outcome

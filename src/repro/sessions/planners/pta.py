@@ -30,7 +30,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from ...serve.mutations import _drop_indices, _op_rng, check_mutations
+from ...pta.andersen import (deref_pointers, induced_edges, pta_config,
+                             pta_input, pta_output, pta_solve, pull_sweep)
+from ...pta.constraints import Constraints, Kind
+from ...serve.mutations import apply_constraint_mutations_tracked
 from . import BatchOutcome
 
 __all__ = ["PtaPlanner"]
@@ -48,76 +51,31 @@ class PtaPlanner:
         self.params = dict(params)
         self.strategy = dict(strategy)
         self.seed = int(seed)
-        self.variant = str(self.strategy.get("variant", "pull"))
-        self.chunk_size = int(self.strategy.get("chunk_size", 1024))
+        self.variant, self.chunk_size = pta_config(self.strategy)
         self.arrays: tuple = ()
         self.summary: dict = {}
 
     def open(self, counter, resilience=None) -> None:
-        from ...pta.constraints import generate_constraints
-        from ...serve.mutations import apply_constraint_mutations
-
-        p = self.params
-        cons = generate_constraints(int(p.get("num_vars", 120)),
-                                    int(p.get("num_constraints", 200)),
-                                    seed=self.seed)
-        mutations = check_mutations("pta", p.get("mutations", ()))
-        if mutations:
-            cons = apply_constraint_mutations(cons, mutations)
-        self.cons = cons
+        self.cons = pta_input(self.params, self.seed)
         self._solve_full(counter, resilience)
 
-    def _solver(self):
-        if self.variant == "pull":
-            from ...pta.andersen import andersen_pull
-            return andersen_pull
-        from ...pta.push import andersen_push
-        return andersen_push
-
     def _solve_full(self, counter, resilience) -> None:
-        res = self._solver()(self.cons, counter=counter,
-                             chunk_size=self.chunk_size,
-                             resilience=resilience)
+        res = pta_solve(self.cons, self.variant, self.chunk_size, counter,
+                        resilience)
         self.pts = res.pts
         self.graph = res.graph
-        self._publish(res.rounds, res.edges_added, res.propagation_sweeps)
-
-    def _publish(self, rounds, edges_added, sweeps) -> None:
-        self.arrays = (self.pts.bits, self.pts.counts())
-        self.summary = {"rounds": int(rounds),
-                        "edges_added": int(edges_added),
-                        "propagation_sweeps": int(sweeps),
-                        "total_facts": int(self.pts.counts().sum()),
-                        "variant": self.variant}
+        self.arrays, self.summary = pta_output(
+            res.pts, res.rounds, res.edges_added, res.propagation_sweeps,
+            self.variant)
 
     def apply_batch(self, ops, counter, threshold: float,
                     resilience=None) -> BatchOutcome:
-        from ...pta.constraints import Constraints, generate_constraints
+        self.cons, changes = apply_constraint_mutations_tracked(self.cons,
+                                                                ops)
+        added = sum(a.num_constraints for a, _ in changes)
+        dropped = sum(d.num_constraints for _, d in changes)
 
-        # Replicate apply_constraint_mutations op by op so the delta
-        # (the freshly added tail) is known, not just the new total.
-        kind, lhs, rhs = self.cons.kind, self.cons.lhs, self.cons.rhs
-        extras: list = []
-        added = dropped = 0
-        for op in ops:
-            count = max(0, int(op.get("count", 0)))
-            if op["op"] == "add_constraints":
-                extra = generate_constraints(self.cons.num_vars, count,
-                                             seed=int(op.get("seed", 0)))
-                kind = np.concatenate([kind, extra.kind])
-                lhs = np.concatenate([lhs, extra.lhs])
-                rhs = np.concatenate([rhs, extra.rhs])
-                extras.append(extra)
-                added += int(extra.kind.size)
-            elif op["op"] == "drop_constraints":
-                keep = _drop_indices(_op_rng(op), kind.size, count)
-                dropped += int(kind.size - keep.sum())
-                kind, lhs, rhs = kind[keep], lhs[keep], rhs[keep]
-            else:  # pragma: no cover - check_mutations rejects these
-                raise ValueError(f"unknown constraint mutation {op['op']!r}")
-        self.cons = Constraints(self.cons.num_vars, kind, lhs, rhs)
-
-        population = max(int(kind.size), 1)
+        population = max(self.cons.num_constraints, 1)
         dirty = added + dropped
         outcome = BatchOutcome(mode="delta", dirty=dirty,
                                population=population)
@@ -144,17 +102,14 @@ class PtaPlanner:
 
         delta = Constraints(
             self.cons.num_vars,
-            np.concatenate([e.kind for e in extras]),
-            np.concatenate([e.lhs for e in extras]),
-            np.concatenate([e.rhs for e in extras]))
+            np.concatenate([a.kind for a, _ in changes]),
+            np.concatenate([a.lhs for a, _ in changes]),
+            np.concatenate([a.rhs for a, _ in changes]))
         self._warm_start(delta, counter)
         return outcome
 
     def _warm_start(self, delta, counter) -> None:
         """Monotone propagation from the old fixed point + new seeds."""
-        from ...pta.andersen import deref_pointers, induced_edges, pull_sweep
-        from ...pta.constraints import Kind
-
         pts, graph = self.pts, self.graph
         n = self.cons.num_vars
         W = pts.words
@@ -214,4 +169,5 @@ class PtaPlanner:
             gained = np.zeros(n, dtype=bool)
             if not changed.any() and added == 0:
                 break
-        self._publish(rounds, edges_added, sweeps)
+        self.arrays, self.summary = pta_output(pts, rounds, edges_added,
+                                               sweeps, self.variant)

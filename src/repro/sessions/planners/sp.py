@@ -7,8 +7,9 @@ adding a single clause shifts every subsequent draw, so no local
 recompute can reproduce the cold answer byte-for-byte — and the
 differential guarantee outranks speed.  The planner therefore:
 
-* maintains the CNF incrementally (batches apply op-by-op, identical
-  to :func:`repro.serve.mutations.apply_clause_mutations`);
+* maintains the CNF through
+  :func:`repro.serve.mutations.apply_clause_mutations_tracked`, which
+  reports the clauses each op added and dropped;
 * measures the dirty region honestly — the variable set reachable from
   mutated clauses through clause-variable incidence, i.e. everything a
   message-passing delta pass *would* have to re-relax;
@@ -21,7 +22,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ...serve.mutations import _drop_indices, _op_rng, check_mutations
+from ...satsp.sp import sp_config, sp_input, sp_solve
+from ...serve.mutations import apply_clause_mutations_tracked
 from . import BatchOutcome
 
 __all__ = ["SpPlanner", "reachable_variables"]
@@ -62,71 +64,24 @@ class SpPlanner:
         self.summary: dict = {}
 
     def open(self, counter, resilience=None) -> None:
-        from ...satsp.formula import random_ksat
-        from ...serve.mutations import apply_clause_mutations
-
-        p = self.params
-        cnf = random_ksat(int(p.get("num_vars", 200)),
-                          int(p.get("k", 3)),
-                          ratio=float(p.get("ratio", 3.2)),
-                          seed=self.seed)
-        mutations = check_mutations("sp", p.get("mutations", ()))
-        if mutations:
-            cnf = apply_clause_mutations(cnf, mutations)
-        self.cnf = cnf
+        self.cnf = sp_input(self.params, self.seed)
         self._solve_full(counter, resilience)
 
     def _solve_full(self, counter, resilience) -> None:
-        from ...satsp.sp import SPConfig, solve_sp
-
-        kwargs = {k: self.strategy[k] for k in
-                  ("cached", "damping", "eps", "decimation_fraction",
-                   "require_convergence") if k in self.strategy}
-        res = solve_sp(self.cnf, SPConfig(seed=self.seed, **kwargs),
-                       counter=counter, resilience=resilience)
-        assignment = (res.assignment if res.assignment is not None
-                      else np.zeros(0, dtype=np.int64))
-        self.arrays = (assignment,)
-        self.summary = {"status": res.status, "phases": res.phases,
-                        "total_iterations": res.total_iterations,
-                        "fixed_by_sp": res.fixed_by_sp,
-                        "solved_by_walksat": res.solved_by_walksat}
+        self.arrays, self.summary = sp_solve(
+            self.cnf, sp_config(self.strategy, self.seed), counter,
+            resilience)
 
     def apply_batch(self, ops, counter, threshold: float,
                     resilience=None) -> BatchOutcome:
-        from ...satsp.formula import CNF, random_ksat
-
-        vars_, signs = self.cnf.vars, self.cnf.signs
-        touched: list = []
-        changed_clauses = 0
-        for op in ops:
-            count = max(0, int(op.get("count", 0)))
-            if op["op"] == "add_clauses":
-                extra = random_ksat(self.cnf.num_vars, k=self.cnf.k,
-                                    num_clauses=count,
-                                    seed=int(op.get("seed", 0)))
-                vars_ = np.concatenate([vars_, extra.vars])
-                signs = np.concatenate([signs, extra.signs])
-                if extra.vars.size:
-                    touched.append(np.unique(extra.vars))
-                changed_clauses += int(extra.vars.shape[0])
-            elif op["op"] == "drop_clauses":
-                keep = _drop_indices(_op_rng(op), vars_.shape[0], count)
-                if not keep.all():
-                    touched.append(np.unique(vars_[~keep]))
-                changed_clauses += int(vars_.shape[0] - keep.sum())
-                vars_, signs = vars_[keep], signs[keep]
-            else:  # pragma: no cover - check_mutations rejects these
-                raise ValueError(f"unknown clause mutation {op['op']!r}")
-        self.cnf = CNF(self.cnf.num_vars, vars_, signs)
-
-        if changed_clauses == 0:
+        self.cnf, changes = apply_clause_mutations_tracked(self.cnf, ops)
+        rows = [c.vars for pair in changes for c in pair]
+        if not sum(r.shape[0] for r in rows):
             return BatchOutcome(mode="cached", dirty=0,
                                 population=self.cnf.num_vars,
                                 note="batch left the formula unchanged")
-        seeds = (np.unique(np.concatenate(touched)) if touched
-                 else np.zeros(0, dtype=np.int64))
-        dirty = reachable_variables(vars_, self.cnf.num_vars, seeds)
+        seeds = np.unique(np.concatenate(rows))
+        dirty = reachable_variables(self.cnf.vars, self.cnf.num_vars, seeds)
         self._solve_full(counter, resilience)
         return BatchOutcome(
             mode="full", dirty=dirty, population=self.cnf.num_vars,

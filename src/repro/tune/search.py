@@ -42,18 +42,8 @@ from .space import ConfigSpace, config_key, space_for
 __all__ = ["Trial", "TuneResult", "score_config", "proxy_params", "tune",
            "ENGINES"]
 
-#: input-size parameter names per algorithm, for proxy downscaling
-_SIZE_KEYS = {
-    "dmr": {"n_triangles": 600},
-    "insertion": {"n_triangles": 300, "n_points": 12},
-    "sp": {"num_vars": 200},
-    "pta": {"num_vars": 120, "num_constraints": 200},
-    "mst": {"num_nodes": 300, "num_edges": 1200},
-    "engine": {"num_nodes": 200, "num_edges": 600},
-}
-
 #: smallest value a size parameter is scaled down to (inputs below this
-#: stop exercising the strategy axes at all)
+#: stop exercising the strategy axes at all); a smaller one keeps its own
 _MIN_SIZE = 40
 
 
@@ -98,12 +88,21 @@ class TuneResult:
 
 
 def proxy_params(algorithm: str, params: Mapping, scale: float) -> dict:
-    """Shrink ``params``' input-size knobs by ``scale`` (0 < scale <= 1)."""
-    sizes = _SIZE_KEYS.get(algorithm, {})
+    """Shrink ``params``' input-size knobs by ``scale`` (0 < scale <= 1);
+    absent ones start from the defaults the adapter's input builder reads."""
+    from ..dmr.refine import dmr_sizes
+    from ..meshing.gpu_insert import insertion_sizes
+    from ..mst.boruvka_gpu import mst_sizes
+    from ..pta.andersen import pta_sizes
+    from ..satsp.sp import sp_sizes
+    from ..serve.jobs import engine_sizes
+
+    sizes = {"dmr": dmr_sizes, "insertion": insertion_sizes, "sp": sp_sizes,
+             "pta": pta_sizes, "mst": mst_sizes,
+             "engine": engine_sizes}.get(algorithm)
     out = dict(params)
-    for key, default in sizes.items():
-        value = float(out.get(key, default))
-        out[key] = max(_MIN_SIZE, int(value * scale))
+    for key, value in (sizes(params) if sizes else {}).items():
+        out[key] = max(min(value, _MIN_SIZE), int(value * scale))
     return out
 
 

@@ -27,7 +27,8 @@ from enum import Enum
 
 from .device import GpuSpec
 
-__all__ = ["BarrierKind", "BarrierModel", "NAIVE_ATOMIC", "HIERARCHICAL", "FENCE"]
+__all__ = ["BarrierKind", "BarrierModel", "NAIVE_ATOMIC", "HIERARCHICAL", "FENCE",
+           "BARRIERS"]
 
 
 class BarrierKind(Enum):
@@ -75,3 +76,7 @@ class BarrierModel:
 NAIVE_ATOMIC = BarrierModel(BarrierKind.NAIVE_ATOMIC)
 HIERARCHICAL = BarrierModel(BarrierKind.HIERARCHICAL)
 FENCE = BarrierModel(BarrierKind.FENCE)
+
+#: the barrier models by the names a strategy dict's ``barrier`` key uses
+BARRIERS = {"fence": FENCE, "hierarchical": HIERARCHICAL,
+            "naive": NAIVE_ATOMIC}

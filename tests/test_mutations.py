@@ -4,18 +4,25 @@ The mutation vocabulary is the contract between recorded scenarios,
 serve jobs, and :mod:`repro.sessions` streams, so its edge behavior is
 pinned down here: empty streams are exact no-ops, drop counts clamp
 deterministically (hypothesis-driven), validation errors name the
-offending op's index, and the tracked variant's bookkeeping stays
-consistent with the untracked output under arbitrary op streams.
+offending op's index, and the tracked variants' bookkeeping stays
+consistent with their output under arbitrary op streams.
 """
 
 from __future__ import annotations
+
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.graphgen import random_graph
-from repro.serve.mutations import (OPS_BY_ALGORITHM, apply_graph_mutations,
+from repro.pta.constraints import generate_constraints
+from repro.satsp.formula import random_ksat
+from repro.serve.mutations import (OPS_BY_ALGORITHM,
+                                   apply_clause_mutations_tracked,
+                                   apply_constraint_mutations_tracked,
+                                   apply_graph_mutations,
                                    apply_graph_mutations_tracked,
                                    apply_point_mutations, check_mutations)
 
@@ -165,3 +172,49 @@ def test_tracked_mutations_match_untracked_and_remap_correctly(stream):
     keep = ~eff.changed[dst]
     assert np.array_equal(w2[dst[keep]], w[src[keep]])
     assert eff.changed.size == lo2.size
+
+
+def _clause_rows(cnf):
+    return Counter(map(tuple, np.concatenate([cnf.vars, cnf.signs], axis=1)
+                       .tolist()))
+
+
+def _constraint_rows(c):
+    return Counter(zip(c.kind.tolist(), c.lhs.tolist(), c.rhs.tolist()))
+
+
+@_settings
+@given(stream=st.lists(st.tuples(st.sampled_from(["add", "drop"]),
+                                 st.integers(0, 12), st.integers(0, 1000)),
+                       max_size=5))
+def test_tracked_row_changes_add_up_to_the_output(stream):
+    """Each op reports what it appended and removed: an add reports its
+    generator's batch, a drop ``min(count, rows)`` rows of the input
+    it saw, and the input's rows plus every op's added rows minus its
+    dropped rows are the output's rows."""
+    families = (
+        (random_ksat(30, 3, ratio=3.0, seed=2), "clauses",
+         apply_clause_mutations_tracked, _clause_rows,
+         lambda count, seed: random_ksat(30, 3, num_clauses=count,
+                                         seed=seed)),
+        (generate_constraints(40, 60, seed=2), "constraints",
+         apply_constraint_mutations_tracked, _constraint_rows,
+         lambda count, seed: generate_constraints(40, count, seed=seed)))
+    for base, family, apply, rows, fresh in families:
+        ops = [{"op": f"{kind}_{family}", "count": count, "seed": seed}
+               for kind, count, seed in stream]
+        out, changes = apply(base, ops)
+        assert len(changes) == len(ops)
+        total = rows(base)
+        for op, (added, dropped) in zip(ops, changes):
+            size = sum(total.values())
+            if op["op"].startswith("add"):
+                assert rows(added) == rows(fresh(op["count"], op["seed"]))
+                assert not rows(dropped)
+            else:
+                assert not rows(added)
+                assert sum(rows(dropped).values()) == min(op["count"], size)
+            total = total + rows(added)
+            total.subtract(rows(dropped))
+            assert min(total.values(), default=0) >= 0
+        assert +total == rows(out)

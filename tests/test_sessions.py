@@ -30,12 +30,15 @@ from repro.errors import SessionStateError
 from repro.mst import kruskal
 from repro.obs import Tracer, chrome_trace, validate_chrome_trace
 from repro.serve import CheckpointStore, Scheduler
-from repro.serve.jobs import JobContext, JobSpec, estimate_cost
+from repro.serve.jobs import (JobContext, JobSpec, digest_arrays,
+                             estimate_cost, get_adapter)
 from repro.sessions import (DEFAULT_FULL_THRESHOLD, MutationLog, Session,
                             SessionSpec, planned_algorithms, planner_for)
+from repro.sessions.__main__ import _load_specs
 from repro.sessions.__main__ import main as sessions_cli
 from repro.sessions.planners.mst import MstPlanner, forest_components
 from repro.sessions.serve import run_session_job
+from repro.vgpu.costmodel import CostModel
 
 pytestmark = pytest.mark.session
 
@@ -102,6 +105,75 @@ def test_differential_gate(algorithm, seed):
         assert matches, (
             f"{algorithm} seed={seed} batch={result.batch} "
             f"mode={result.mode}: session {result.digest} != cold {cold}")
+
+
+#: open params (with initial mutations) and batches per algorithm; at
+#: ``full_threshold=0`` every batch that changes the input recomputes
+#: fully, drops and add-then-drop batches included (DMR only opens cold:
+#: its batches always stage)
+COLD_STREAMS = {
+    "mst": ({"num_nodes": 120, "num_edges": 480},
+            [{"op": "add_edges", "count": 5, "seed": 1}],
+            [[{"op": "add_edges", "count": 4, "seed": 2}],
+             [{"op": "drop_edges", "count": 6, "seed": 3}],
+             [{"op": "reweight_edges", "count": 5, "seed": 4},
+              {"op": "drop_edges", "count": 2, "seed": 5}]]),
+    "pta": ({"num_vars": 120, "num_constraints": 200},
+            [{"op": "add_constraints", "count": 6, "seed": 1}],
+            [[{"op": "add_constraints", "count": 5, "seed": 2}],
+             [{"op": "drop_constraints", "count": 4, "seed": 3}],
+             [{"op": "add_constraints", "count": 6, "seed": 4},
+              {"op": "drop_constraints", "count": 3, "seed": 5}]]),
+    "sp": ({"num_vars": 50, "ratio": 3.0},
+           [{"op": "add_clauses", "count": 3, "seed": 1}],
+           [[{"op": "add_clauses", "count": 4, "seed": 2}],
+            [{"op": "drop_clauses", "count": 3, "seed": 3}],
+            [{"op": "add_clauses", "count": 3, "seed": 4},
+             {"op": "drop_clauses", "count": 2, "seed": 5}]]),
+    "dmr": ({"n_triangles": 150},
+            [{"op": "insert_points", "count": 3, "seed": 1}],
+            [[{"op": "insert_points", "count": 2, "seed": 2}]]),
+    "insertion": ({"n_triangles": 120, "n_points": 8},
+                  [{"op": "add_points", "count": 2, "seed": 1}],
+                  [[{"op": "add_points", "count": 3, "seed": 2}],
+                   [{"op": "drop_points", "count": 2, "seed": 3}],
+                   [{"op": "add_points", "count": 1, "seed": 4},
+                    {"op": "drop_points", "count": 1, "seed": 5}]]),
+    "engine": ({"num_nodes": 50, "num_edges": 150},
+               [{"op": "add_edges", "count": 3, "seed": 1}],
+               [[{"op": "add_edges", "count": 4, "seed": 2}],
+                [{"op": "drop_edges", "count": 3, "seed": 3}],
+                [{"op": "reweight_edges", "count": 3, "seed": 4},
+                 {"op": "drop_edges", "count": 2, "seed": 5}]]),
+}
+
+
+def _cold(algorithm, params, seed):
+    """Digest, summary and modeled cost of one cold adapter run."""
+    ctx = JobContext(counter=OpCounter())
+    arrays, summary = get_adapter(algorithm)(params, {}, seed, ctx)
+    return digest_arrays(arrays), summary, CostModel().gpu_time(ctx.counter)
+
+
+@pytest.mark.parametrize("algorithm", sorted(COLD_STREAMS))
+def test_open_and_full_recompute_equal_the_cold_adapter(algorithm):
+    """A session's open and every full batch give the cold adapter's
+    digest, summary and modeled cost on the same mutations."""
+    params, mutations, batches = COLD_STREAMS[algorithm]
+    spec = _spec(algorithm, 4, params={**params, "mutations": mutations},
+                 batches=batches, full_threshold=0.0)
+    session = Session.open(spec)
+    assert (session.digest(), session.summary, session.full_cost_s) == \
+        _cold(algorithm, spec.params, 4)
+    full = 0
+    for ops in batches:
+        result = session.apply_batch(ops)
+        mutations = mutations + ops
+        if result.mode == "full":
+            full += 1
+            assert (result.digest, result.summary, result.cost_s) == \
+                _cold(algorithm, {**params, "mutations": mutations}, 4)
+    assert full == (0 if algorithm == "dmr" else len(batches))
 
 
 def test_sequential_composition_equals_concatenation():
@@ -439,7 +511,8 @@ def test_serve_path_matches_inline_session(tmp_path):
     for ops in spec.batches:
         inline.apply_batch(ops)
 
-    report = Scheduler(checkpoint_dir=str(tmp_path)).run_sessions([spec])
+    report = Scheduler(checkpoint_dir=str(tmp_path)).run_batch(
+        [spec.to_job_spec()])
     record = report.records[0]
     assert record.ok
     sess = record.result.summary["session"]
@@ -473,7 +546,7 @@ def test_kill_resume_through_pool(tmp_path, every):
     checkpoint its cadence wrote and lands on the same digest as an
     undisturbed run."""
     spec = _spec("mst", 14, checkpoint_every=every, retries=2)
-    clean = Scheduler().run_sessions([spec]).records[0]
+    clean = Scheduler().run_batch([spec.to_job_spec()]).records[0]
     assert clean.ok
 
     job_dict = spec.to_job_spec().to_dict()
@@ -496,7 +569,18 @@ EXAMPLE_STREAM = (Path(__file__).resolve().parent.parent / "examples"
 
 
 def test_cli_example_stream_verifies():
+    """The example verifies against cold recomputes, drives every
+    planner, and every batch changes its session's digest, so the
+    differential it gates can catch a planner that ignores a batch."""
     assert sessions_cli(["run", str(EXAMPLE_STREAM), "--verify-full"]) == 0
+    specs = _load_specs(str(EXAMPLE_STREAM))
+    assert sorted({s.algorithm for s in specs}) == planned_algorithms()
+    for spec in specs:
+        session = Session.open(spec)
+        digests = [session.digest()]
+        digests += [session.apply_batch(ops).digest for ops in spec.batches]
+        assert all(a != b for a, b in zip(digests, digests[1:])), (
+            spec.name, [d[:12] for d in digests])
 
 
 def _cli_saves(monkeypatch, argv) -> list:

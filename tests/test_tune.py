@@ -12,16 +12,18 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.counters import OpCounter
 from repro.serve import JobSpec, estimate_cost, order_jobs, run_job
 from repro.serve.faults import (JOB_FAULTS, FaultInjected, FaultInjector,
                                 FaultPlan)
+from repro.serve.jobs import JobContext, get_adapter
 from repro.tune import (AUTO_SEED, ENGINES, TUNE_SCHEMA, ConfigSpace,
                         TuneRecord, TuningCache, config_key,
                         default_cache_path, fingerprint_params,
                         known_spaces, proxy_params, resolve_strategy,
                         score_config, space_for, tune)
 from repro.tune.__main__ import main as tune_main
-from repro.vgpu.costmodel import COST_MODEL_VERSION
+from repro.vgpu.costmodel import COST_MODEL_VERSION, CostModel
 
 
 def _record(algorithm="mst", fingerprint="f" * 16, config=None,
@@ -123,6 +125,27 @@ class TestProxyAndScoring:
         assert p["n_triangles"] == 40          # _MIN_SIZE floor
         p = proxy_params("pta", {}, 0.5)
         assert p["num_vars"] == 60 and p["num_constraints"] == 100
+
+    def test_proxy_params_default_edges_follow_the_adapters(self):
+        # An absent num_edges is four (mst) or three (engine) per node,
+        # as the adapters build the graph, not a fixed count.
+        p = proxy_params("mst", {"num_nodes": 20000}, 1.0)
+        assert p["num_edges"] == 80000
+        p = proxy_params("engine", {"num_nodes": 100}, 0.5)
+        assert p == {"num_nodes": 50, "num_edges": 150}
+
+    @pytest.mark.parametrize("algorithm,params", [
+        ("dmr", {"n_triangles": 80}), ("insertion", {"n_triangles": 80}),
+        ("sp", {"num_vars": 40}), ("pta", {"num_vars": 60}),
+        ("mst", {"num_nodes": 60}), ("engine", {"num_nodes": 40})])
+    def test_full_scale_proxy_prices_the_adapters_own_input(self, algorithm,
+                                                           params):
+        """At scale 1 a trial runs on the input the job itself builds."""
+        cfg = space_for(algorithm).default
+        ctx = JobContext(counter=OpCounter())
+        get_adapter(algorithm)(params, cfg, 2, ctx)
+        trial = score_config(algorithm, params, cfg, seed=2)
+        assert trial.modeled_gpu_s == CostModel().gpu_time(ctx.counter)
 
     def test_proxy_params_leave_non_size_keys_alone(self):
         p = proxy_params("sp", {"num_vars": 200, "ratio": 3.2}, 0.25)

@@ -35,6 +35,10 @@ import numpy as np
 
 __all__ = ["KernelStats", "OpCounter", "warp_divergence"]
 
+#: scalars that configure how ``CostModel.gpu_time`` prices a counter
+#: rather than tally work: ``merge`` keeps the incoming value, never a sum
+CONFIG_SCALARS = ("barrier_kind", "cfg_blocks", "cfg_tpb", "fp_scale")
+
 # Lazy cached handle on repro.vgpu.instrument.  Imported at first use,
 # not at module level: vgpu.kernel imports this module, so an eager
 # import here would close a cycle during package init.
@@ -229,21 +233,27 @@ class OpCounter:
         return sum(k.word_reads + k.word_writes for k in self._kernels.values())
 
     def merge(self, other: "OpCounter") -> None:
-        """Fold another counter's tallies into this one."""
+        """Fold another counter's tallies into this one.
+
+        Tally scalars add up; the :data:`CONFIG_SCALARS` ``other`` sets
+        replace this counter's, so a merged counter still prices.
+        """
         for name, ks in other:
             self.kernel(name).merge(ks)
         for key, val in other.scalars.items():
-            self.scalars[key] = self.scalars.get(key, 0.0) + val
+            if key in CONFIG_SCALARS:
+                self.scalars[key] = val
+            else:
+                self.scalars[key] = self.scalars.get(key, 0.0) + val
 
     def __add__(self, other: "OpCounter") -> "OpCounter":
         """Lossless aggregation: a fresh counter holding both tallies.
 
         ``sum(counters, OpCounter())`` therefore folds per-process
-        counters from a worker pool into one whole-batch counter.  Note
-        that ``merge``/``+`` *sums* the scalar tallies, so per-run
-        configuration scalars (``cfg_blocks``, ``barrier_kind``,
-        ``fp_scale``) are only meaningful when at most one operand sets
-        them.
+        counters from a worker pool into one whole-batch counter.  The
+        tally scalars add up; each configuration scalar
+        (:data:`CONFIG_SCALARS`) is the right operand's if it sets one,
+        else the left's, so the sum prices with one configuration.
         """
         if not isinstance(other, OpCounter):
             return NotImplemented

@@ -46,7 +46,7 @@ from ..meshing import geometry as geo
 from ..meshing.mesh import TriMesh
 from ..resilience.addition import grow_array
 from ..resilience.deletion import ResilientRecyclePool
-from ..resilience.policy import launch_ok, maybe_activate_resilience
+from ..resilience.policy import launch_ok
 from ..vgpu.instrument import SANITIZER, TRACER, fault_transfer, trace_span
 from ..vgpu.memory import RecyclePool
 from ..vgpu.sync import BARRIERS, FENCE, BarrierModel
@@ -382,9 +382,8 @@ def refine_gpu(mesh: TriMesh, config: DMRConfig | None = None,
     """
     with SANITIZER.maybe_activate(sanitizer):
         with TRACER.maybe_activate(tracer):
-            with maybe_activate_resilience(resilience):
-                with trace_span("dmr.refine_gpu", cat="driver"):
-                    return _refine_impl(mesh, config, counter, resilience)
+            with trace_span("dmr.refine_gpu", cat="driver"):
+                return _refine_impl(mesh, config, counter, resilience)
 
 
 def _refine_impl(mesh: TriMesh, config: DMRConfig | None,

@@ -67,7 +67,7 @@ class DeviceFault(ReproError):
     """A device-level failure (resource exhaustion or transient abort).
 
     ``injected`` distinguishes faults fired by a
-    :class:`repro.vgpu.faults.DeviceFaultInjector` from organically hit
+    :class:`repro.vgpu.faults.FaultInjector` from organically hit
     limits (e.g. a bounded :class:`~repro.vgpu.memory.RecyclePool`).
     """
 

@@ -33,7 +33,7 @@ from ..core.ragged import Ragged
 from ..errors import CavityError, MaxRoundsExceeded
 from ..resilience.addition import grow_array
 from ..resilience.deletion import ResilientRecyclePool
-from ..resilience.policy import launch_ok, maybe_activate_resilience
+from ..resilience.policy import launch_ok
 from ..vgpu.instrument import SANITIZER, TRACER, trace_span
 from ..vgpu.memory import RecyclePool
 from .cavity import delaunay_cavity, locate, retriangulate
@@ -81,13 +81,12 @@ def gpu_insert_points(mesh: TriMesh, x: np.ndarray, y: np.ndarray, *,
     """
     with SANITIZER.maybe_activate(sanitizer):
         with TRACER.maybe_activate(tracer):
-            with maybe_activate_resilience(resilience):
-                with trace_span("meshing.gpu_insert_points", cat="driver"):
-                    return _insert_impl(
-                        mesh, x, y, seed=seed,
-                        max_points_per_round=max_points_per_round,
-                        counter=counter, max_rounds=max_rounds,
-                        resil=resilience)
+            with trace_span("meshing.gpu_insert_points", cat="driver"):
+                return _insert_impl(
+                    mesh, x, y, seed=seed,
+                    max_points_per_round=max_points_per_round,
+                    counter=counter, max_rounds=max_rounds,
+                    resil=resilience)
 
 
 def _insert_impl(mesh: TriMesh, x: np.ndarray, y: np.ndarray, *,

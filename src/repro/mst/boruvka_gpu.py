@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core.counters import OpCounter
-from ..resilience.policy import launch_ok, maybe_activate_resilience
+from ..resilience.policy import launch_ok
 from ..vgpu.atomics import atomic_min
 from ..vgpu.instrument import SANITIZER, TRACER, trace_span
 
@@ -73,12 +73,11 @@ def boruvka_gpu(num_nodes: int, src: np.ndarray, dst: np.ndarray,
     """
     with SANITIZER.maybe_activate(sanitizer):
         with TRACER.maybe_activate(tracer):
-            with maybe_activate_resilience(resilience):
-                with trace_span("mst.boruvka_gpu", cat="driver"):
-                    return _boruvka_impl(num_nodes, src, dst, weight,
-                                         counter=counter,
-                                         max_rounds=max_rounds,
-                                         barrier=barrier, resil=resilience)
+            with trace_span("mst.boruvka_gpu", cat="driver"):
+                return _boruvka_impl(num_nodes, src, dst, weight,
+                                     counter=counter,
+                                     max_rounds=max_rounds,
+                                     barrier=barrier, resil=resilience)
 
 
 def _boruvka_impl(num_nodes: int, src: np.ndarray, dst: np.ndarray,

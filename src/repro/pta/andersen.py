@@ -38,7 +38,7 @@ import numpy as np
 
 from ..core.counters import OpCounter
 from ..resilience.addition import FallbackStorage
-from ..resilience.policy import launch_ok, maybe_activate_resilience
+from ..resilience.policy import launch_ok
 from ..vgpu.instrument import SANITIZER, TRACER, trace_span
 from .bitset import BitMatrix
 from .constraints import Constraints, Kind, generate_constraints
@@ -93,12 +93,11 @@ def andersen_pull(cons: Constraints, *, chunk_size: int = 1024,
     """
     with SANITIZER.maybe_activate(sanitizer):
         with TRACER.maybe_activate(tracer):
-            with maybe_activate_resilience(resilience):
-                with trace_span("pta.andersen_pull", cat="driver"):
-                    return _andersen_pull_impl(cons, chunk_size=chunk_size,
-                                               counter=counter, rep=rep,
-                                               max_rounds=max_rounds,
-                                               resil=resilience)
+            with trace_span("pta.andersen_pull", cat="driver"):
+                return _andersen_pull_impl(cons, chunk_size=chunk_size,
+                                           counter=counter, rep=rep,
+                                           max_rounds=max_rounds,
+                                           resil=resilience)
 
 
 def _andersen_pull_impl(cons: Constraints, *, chunk_size: int,

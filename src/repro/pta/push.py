@@ -19,7 +19,7 @@ import numpy as np
 
 from ..core.counters import OpCounter
 from ..resilience.addition import FallbackStorage
-from ..resilience.policy import launch_ok, maybe_activate_resilience
+from ..resilience.policy import launch_ok
 from .andersen import PTAResult, deref_pointers, induced_edges
 from .bitset import BitMatrix
 from .constraints import Constraints, Kind
@@ -38,8 +38,7 @@ def andersen_push(cons: Constraints, *, chunk_size: int = 1024,
 andersen_pull`: §7.1 fallback-chain edge storage plus round re-issue
     on transient injected kernel aborts.
     """
-    with maybe_activate_resilience(resilience):
-        return _push_impl(cons, chunk_size, counter, max_rounds, resilience)
+    return _push_impl(cons, chunk_size, counter, max_rounds, resilience)
 
 
 def _push_impl(cons: Constraints, chunk_size: int,

@@ -10,8 +10,9 @@ reusable policies consumed by every driver through an opt-in
 
 * :class:`Resilience` / :class:`ResiliencePolicy`
   (:mod:`~repro.resilience.policy`) — the per-run runtime: retry
-  budgets, the degradation event log (fed to the tracer as
-  ``resilience.*`` gauges), and the device-fault plan activation.
+  budgets and the degradation event log (fed to the tracer as
+  ``resilience.*`` gauges).  It absorbs faults but never installs
+  them: that is the job body's one injector per attempt.
 * :class:`FallbackStorage` / :class:`GrowthAndRetry` / :func:`grow_array`
   (:mod:`~repro.resilience.addition`) — the §7.1 addition chain:
   Kernel-Only → Kernel-Host → Host-Only, and growth-and-retry for
@@ -25,7 +26,7 @@ reusable policies consumed by every driver through an opt-in
   :class:`repro.errors.EngineStalled` only after every level fails.
 
 Determinism contract: a degraded completion is still deterministic —
-the same seed plus the same :class:`repro.vgpu.faults.DeviceFaultPlan`
+the same seed plus the same :class:`repro.vgpu.faults.FaultRules`
 produces a byte-identical result digest, and a run whose faults are
 limited to absorbed OOM/abort/slow-transfer events digests identically
 to the fault-free run (degradation is recorded out-of-band, never in
@@ -34,10 +35,9 @@ the result payload).
 
 from .addition import FallbackStorage, GrowthAndRetry, grow_array
 from .deletion import ResilientRecyclePool
-from .policy import (Resilience, ResiliencePolicy, launch_ok,
-                     maybe_activate_resilience)
+from .policy import Resilience, ResiliencePolicy, launch_ok
 from .watchdog import StallLadder
 
 __all__ = ["Resilience", "ResiliencePolicy", "launch_ok",
-           "maybe_activate_resilience", "FallbackStorage", "GrowthAndRetry",
-           "grow_array", "ResilientRecyclePool", "StallLadder"]
+           "FallbackStorage", "GrowthAndRetry", "grow_array",
+           "ResilientRecyclePool", "StallLadder"]

@@ -6,15 +6,17 @@ keyword.  It owns:
 
 * the :class:`ResiliencePolicy` (plain data — retry budgets, stall
   thresholds, the escalation seed);
-* an optional :class:`repro.vgpu.faults.DeviceFaultPlan`, materialized
-  into a fresh injector by :meth:`Resilience.activate` so chaos runs
-  are one-liners;
 * the **event log** — every degradation (kernel retry, strategy
   downgrade, growth fallback, stall escalation) is recorded as a plain
   dict and mirrored to the active tracer as a ``resilience.<kind>``
   gauge.  The log is *out-of-band*: it never enters a result digest,
   which is what keeps an absorbed-fault run byte-identical to the
   fault-free one.
+
+It installs no faults.  The faults it absorbs come from the injector
+in :data:`repro.vgpu.instrument.FAULTS` (the job body installs one per
+attempt), so a run's fault schedule does not depend on whether it has
+resilience.
 
 The module-level :func:`launch_ok` is the driver-side guard for
 round-boundary kernel launches: with no resilience it simply offers the
@@ -26,16 +28,13 @@ round.
 
 from __future__ import annotations
 
-from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from typing import Mapping
 
 from ..errors import KernelAborted
-from ..vgpu.faults import DeviceFaultPlan
-from ..vgpu.instrument import DEVICE_FAULTS, fault_kernel, trace_gauge
+from ..vgpu.instrument import fault_kernel, trace_gauge
 
-__all__ = ["ResiliencePolicy", "Resilience", "launch_ok",
-           "maybe_activate_resilience"]
+__all__ = ["ResiliencePolicy", "Resilience", "launch_ok"]
 
 
 @dataclass(frozen=True)
@@ -69,10 +68,8 @@ class ResiliencePolicy:
 class Resilience:
     """One run's degradation state (create fresh per run/attempt)."""
 
-    def __init__(self, policy: ResiliencePolicy | None = None,
-                 faults: DeviceFaultPlan | None = None) -> None:
+    def __init__(self, policy: ResiliencePolicy | None = None) -> None:
         self.policy = policy or ResiliencePolicy()
-        self.faults = faults
         #: chronological degradation log: ``{"kind": ..., **detail}``
         self.events: list[dict] = []
         #: axis -> value the run *actually* used after downgrades
@@ -80,7 +77,6 @@ class Resilience:
         self.effective_strategy: dict = {}
         self._kernel_retries: dict[str, int] = {}
         self._counts: dict[str, int] = {}
-        self.injector = None
 
     @property
     def degraded(self) -> bool:
@@ -93,8 +89,7 @@ class Resilience:
         trace_gauge(f"resilience.{kind}", self._counts[kind])
 
     def note_effective(self, axis: str, value) -> None:
-        """Record that ``axis`` effectively ran as ``value`` (so e.g.
-        :mod:`repro.tune` can keep its cached costs honest)."""
+        """Record that ``axis`` effectively ran as ``value``."""
         self.effective_strategy[axis] = value
 
     def launch_ok(self, name: str) -> bool:
@@ -119,27 +114,11 @@ class Resilience:
             return False
         return True
 
-    @contextmanager
-    def activate(self):
-        """Install this run's device-fault injector (if a plan was
-        given) for the ``with`` block; yields ``self``."""
-        if self.faults is not None:
-            self.injector = self.faults.injector()
-        with DEVICE_FAULTS.maybe_activate(self.injector):
-            yield self
-
     def summary(self) -> dict:
         """Plain-data view for job records / reports (out-of-band)."""
         return {"degraded": self.degraded,
                 "events": [dict(e) for e in self.events],
                 "effective_strategy": dict(self.effective_strategy)}
-
-
-def maybe_activate_resilience(resilience: "Resilience | None"):
-    """``resilience.activate()`` or a no-op — the driver entry idiom."""
-    if resilience is None:
-        return nullcontext()
-    return resilience.activate()
 
 
 def launch_ok(resilience: Resilience | None, name: str) -> bool:

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core.counters import OpCounter
-from ..resilience.policy import launch_ok, maybe_activate_resilience
+from ..resilience.policy import launch_ok
 from ..vgpu.instrument import SANITIZER, TRACER, trace_span
 from .factorgraph import FactorGraph, exclude_one, _ZERO
 from .formula import CNF, random_ksat
@@ -152,9 +152,8 @@ def run_sp(fg: FactorGraph, cfg: SPConfig,
     """
     with SANITIZER.maybe_activate(sanitizer):
         with TRACER.maybe_activate(tracer):
-            with maybe_activate_resilience(resilience):
-                with trace_span("satsp.run_sp", cat="driver"):
-                    return _run_sp_impl(fg, cfg, counter, resilience)
+            with trace_span("satsp.run_sp", cat="driver"):
+                return _run_sp_impl(fg, cfg, counter, resilience)
 
 
 def _run_sp_impl(fg: FactorGraph, cfg: SPConfig,

@@ -15,9 +15,8 @@ Layers:
 
 * :mod:`.format` — the versioned file format, canonical bytes,
   quarantine-on-corrupt loading;
-* :mod:`.record` — the scheduler recorder hook and the hermetic
-  record/replay environment (temp checkpoint spool, pinned empty
-  tuning cache);
+* :mod:`.record` — hermetic batch runs (temp checkpoint spool, pinned
+  empty tuning cache) whose batch report supplies the goldens;
 * :mod:`.replay` — golden diffing and corpus verification;
 * :mod:`.corpus` — the built-in scenario definitions that live under
   ``tests/scenarios/``;
@@ -29,16 +28,14 @@ from .corpus import (DEFAULT_CORPUS_DIR, corpus_definitions, record_corpus,
 from .format import (SCENARIO_SCHEMA, GoldenJob, Scenario, canonical_bytes,
                      golden_from_record, load_scenario, save_scenario,
                      scenario_paths)
-from .record import (ScenarioRecorder, record_scenario, run_batch,
-                     scenario_environment)
+from .record import record_scenario, run_batch, scenario_environment
 from .replay import (CorpusReport, JobReplay, ReplayReport, compare_golden,
                      replay_scenario, verify_paths)
 
 __all__ = [
     "SCENARIO_SCHEMA", "GoldenJob", "Scenario", "canonical_bytes",
     "golden_from_record", "load_scenario", "save_scenario", "scenario_paths",
-    "ScenarioRecorder", "record_scenario", "run_batch",
-    "scenario_environment",
+    "record_scenario", "run_batch", "scenario_environment",
     "CorpusReport", "JobReplay", "ReplayReport", "compare_golden",
     "replay_scenario", "verify_paths",
     "DEFAULT_CORPUS_DIR", "corpus_definitions", "record_corpus",

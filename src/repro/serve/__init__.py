@@ -12,9 +12,9 @@ points-to analysis, Boruvka MST, and the generic morph engine) as a
   (the same job body the gateway's warm workers run);
 * :mod:`.checkpoint` — durable, atomically-written round-state
   checkpoints;
-* :mod:`.faults` — deterministic kill/delay and disk fault injection,
-  installed in :class:`~repro.vgpu.instrument.HookSlot` instances like
-  the device hooks;
+* :mod:`.faults` — the :class:`FaultPlan` a job carries; the job body
+  turns it into one :mod:`repro.vgpu.faults` injector per attempt for
+  the job, device and disk fault sites;
 * :mod:`.scheduler` — FIFO / SJF batch ordering, per-job tracer spans
   and queue gauges, and the :class:`BatchReport` summary.
 
@@ -28,9 +28,7 @@ Run a batch from the shell::
 """
 
 from .checkpoint import CheckpointStore, dumps_state, loads_state
-from .faults import (DISK_FAULTS, DISK_KINDS, JOB_FAULTS, DiskFaultInjector,
-                     DiskFaultPlan, DiskFaultRule, FaultInjected,
-                     FaultInjector, FaultPlan)
+from .faults import DISK_KINDS, FaultInjected, FaultPlan
 from .jobs import (JobContext, JobError, JobResult, JobSpec, digest_arrays,
                    estimate_cost, get_adapter, known_algorithms)
 from .mutations import (OPS_BY_ALGORITHM, GraphMutationEffect,
@@ -42,9 +40,7 @@ from .scheduler import BatchReport, Scheduler, order_jobs
 
 __all__ = [
     "CheckpointStore", "dumps_state", "loads_state",
-    "FaultInjected", "FaultInjector", "FaultPlan", "JOB_FAULTS",
-    "DISK_FAULTS", "DISK_KINDS", "DiskFaultInjector", "DiskFaultPlan",
-    "DiskFaultRule",
+    "FaultInjected", "FaultPlan", "DISK_KINDS",
     "JobContext", "JobError", "JobResult", "JobSpec", "digest_arrays",
     "estimate_cost", "get_adapter", "known_algorithms",
     "OPS_BY_ALGORITHM", "GraphMutationEffect", "check_mutations",

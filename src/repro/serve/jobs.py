@@ -226,7 +226,6 @@ def engine_solve(n, lo, hi, w, params: Mapping, strategy: Mapping,
     under ``ctx``'s counter, round hook, checkpoint cadence and resume
     state; returns the job's ``(arrays, summary)``."""
     from ..graphgen import undirected_edges_to_csr
-    from ..resilience.policy import maybe_activate_resilience
 
     g = undirected_edges_to_csr(n, lo, hi, w)
     colors = np.random.default_rng(seed).integers(0, 2, size=n)
@@ -239,20 +238,19 @@ def engine_solve(n, lo, hi, w, params: Mapping, strategy: Mapping,
             raise JobError("engine job got a foreign checkpoint payload")
         work.colors = np.array(resume.payload, dtype=colors.dtype)
 
-    with maybe_activate_resilience(ctx.resilience):
-        stats = run_morph_rounds(
-            work.conflicted, work.plan, work.apply, lambda: g.num_nodes,
-            rng=rng, counter=ctx.counter,
-            kernel="serve.recolor",
-            ensure_progress=bool(strategy.get("ensure_progress", True)),
-            max_rounds=int(params.get("max_rounds", 1_000_000)),
-            round_hook=ctx.round_hook,
-            checkpoint_every=ctx.checkpoint_every,
-            snapshot=lambda: work.colors.copy(),
-            on_checkpoint=ctx.save_checkpoint,
-            resume=resume,
-            resilience=ctx.resilience,
-        )
+    stats = run_morph_rounds(
+        work.conflicted, work.plan, work.apply, lambda: g.num_nodes,
+        rng=rng, counter=ctx.counter,
+        kernel="serve.recolor",
+        ensure_progress=bool(strategy.get("ensure_progress", True)),
+        max_rounds=int(params.get("max_rounds", 1_000_000)),
+        round_hook=ctx.round_hook,
+        checkpoint_every=ctx.checkpoint_every,
+        snapshot=lambda: work.colors.copy(),
+        on_checkpoint=ctx.save_checkpoint,
+        resume=resume,
+        resilience=ctx.resilience,
+    )
     summary = {"rounds": stats.rounds, "applied": stats.applied,
                "aborted": stats.aborted,
                "num_colors": int(work.colors.max()) + 1,

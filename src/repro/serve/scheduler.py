@@ -27,7 +27,7 @@ modeled GPU time, and wall seconds never share it.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .jobs import JobSpec, estimate_cost
@@ -120,13 +120,6 @@ class Scheduler:
     #: optional :class:`repro.tune.TuningCache` (or a path to one) whose
     #: measured costs refine the SJF proxy for tuned inputs
     tune_cache: object | None = None
-    #: optional recorder (e.g. :class:`repro.scenarios.ScenarioRecorder`)
-    #: receiving ``on_job(record)`` per finished job and
-    #: ``on_batch(report)`` once the batch settles — the hook point the
-    #: scenario record/replay harness captures golden outcomes through
-    recorder: object | None = None
-    #: most recent batch, for callers that want to poke at records
-    last_report: BatchReport | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         # Fail at construction, not at the first batch: a typo'd policy
@@ -160,11 +153,6 @@ class Scheduler:
         report = BatchReport(records=records, policy=self.policy,
                              wall_s=wall_s)
         self._trace(report)
-        if self.recorder is not None:
-            for r in records:
-                self.recorder.on_job(r)
-            self.recorder.on_batch(report)
-        self.last_report = report
         return report
 
     def _trace(self, report: BatchReport) -> None:

@@ -22,15 +22,15 @@ journal) now share:
   :class:`~repro.errors.ArtifactError`.
 
 Every write is also a **disk-fault site**: if a
-:class:`repro.serve.faults.DiskFaultInjector` is active (in the
-:data:`repro.serve.faults.DISK_FAULTS` slot), the write consults it and
-acts out the fired kind at the exact protocol step it models —
-``enospc`` and ``torn_write`` cut the temp write short,
-``replace_crash`` dies before the rename, ``fsync_lost`` models power
-loss around the publish point (and is the one kind that can corrupt
-the *published* file, precisely when the caller opted out of fsync).
-The property suite in ``tests/test_storage.py`` kills a write at every
-site and asserts old-or-new for every store built on this module.
+:class:`repro.vgpu.faults.FaultInjector` is active (in the
+:data:`repro.vgpu.instrument.FAULTS` slot — the job body installs one
+per job attempt), the write consults it and acts out the fired kind at
+the exact protocol step it models — ``enospc`` and ``torn_write`` cut
+the temp write short, ``replace_crash`` dies before the rename,
+``fsync_lost`` loses the rename to a power cut.  None of them can touch
+the published file.  The property suite in ``tests/test_storage.py``
+kills a write at every site and asserts old-or-new for every store
+built on this module.
 """
 
 from __future__ import annotations
@@ -40,7 +40,8 @@ import os
 from pathlib import Path
 
 from .errors import DiskFull, TornWrite
-from .serve.faults import DISK_FAULTS, FaultInjected
+from .vgpu.faults import FaultInjected
+from .vgpu.instrument import FAULTS
 
 __all__ = ["atomic_write_bytes", "atomic_write_json", "fsync_dir",
            "quarantine"]
@@ -67,25 +68,16 @@ def _torn(data: bytes) -> bytes:
     return data[: len(data) // 2]
 
 
-def atomic_write_bytes(path: str | Path, data: bytes, *,
-                       fsync: bool = True, on_publish=None) -> Path:
+def atomic_write_bytes(path: str | Path, data: bytes) -> Path:
     """Atomically and durably publish ``data`` at ``path``.
 
     Protocol: write ``<name>.tmp`` beside the target, fsync it, rename
-    it over the target with ``os.replace``, fsync the directory.  With
-    ``fsync=False`` the fsyncs are skipped (a caller that only needs
-    atomicity against process crash, or a benchmark isolating fsync
-    cost) — and the modeled ``fsync_lost`` disk fault will then tear
-    the published file, which is exactly the hazard the flag buys into.
-
-    ``on_publish`` (when given) runs after the temp write and before
-    the rename — the historical :mod:`repro.tune` kill site, kept so
-    its atomicity property tests keep proving that window empty.
+    it over the target with ``os.replace``, fsync the directory.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
-    injector = DISK_FAULTS.current
+    injector = FAULTS.current
     kind = injector.on_write(path) if injector is not None else None
 
     if kind == "enospc":
@@ -104,49 +96,28 @@ def atomic_write_bytes(path: str | Path, data: bytes, *,
 
     with open(tmp, "wb") as fh:
         fh.write(data)
-        if fsync:
-            fh.flush()
-            os.fsync(fh.fileno())
+        fh.flush()
+        os.fsync(fh.fileno())
 
-    if kind == "replace_crash":
-        # Death between the durable tmp and the publishing rename: the
-        # complete tmp survives, the target still holds the old version.
+    if kind in ("replace_crash", "fsync_lost"):
+        # Death before the publishing rename, or a power cut that loses
+        # it: the tmp bytes were fsync'd, so the complete tmp survives
+        # and the target still holds the old version.
         raise FaultInjected(
-            f"injected crash before publish rename of {path} "
-            f"(write event {injector.writes})")
-    if kind == "fsync_lost":
-        if fsync:
-            # The tmp bytes were fsync'd, so the only thing power loss
-            # can take is the rename itself: old version intact.
-            raise FaultInjected(
-                f"injected power loss; rename of {path} not durable "
-                f"(write event {injector.writes})")
-        # No fsync ordering: the rename landed but the page cache died
-        # with the power — the published file is torn.  This is the
-        # corruption quarantine paths exist for.
-        os.replace(tmp, path)
-        path.write_bytes(_torn(data))
-        raise FaultInjected(
-            f"injected power loss; unsynced bytes of {path} torn "
+            f"injected {kind} before the publish rename of {path} "
             f"(write event {injector.writes})")
 
-    if on_publish is not None:
-        on_publish()
     os.replace(tmp, path)
-    if fsync:
-        fsync_dir(path.parent)
+    fsync_dir(path.parent)
     return path
 
 
-def atomic_write_json(path: str | Path, obj, *, fsync: bool = True,
-                      sort_keys: bool = True, indent: int | None = 1,
-                      on_publish=None) -> Path:
+def atomic_write_json(path: str | Path, obj) -> Path:
     """:func:`atomic_write_bytes` for canonical JSON documents (sorted
-    keys, fixed indent, trailing newline — byte-identical for equal
+    keys, one-space indent, trailing newline — byte-identical for equal
     inputs, the serialization the tune cache and scenarios pin)."""
-    text = json.dumps(obj, sort_keys=sort_keys, indent=indent) + "\n"
-    return atomic_write_bytes(path, text.encode(), fsync=fsync,
-                              on_publish=on_publish)
+    text = json.dumps(obj, sort_keys=True, indent=1) + "\n"
+    return atomic_write_bytes(path, text.encode())
 
 
 def quarantine(path: str | Path, suffix: str = ".corrupt") -> Path | None:

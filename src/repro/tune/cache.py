@@ -14,13 +14,10 @@ fsync, ``os.replace``, directory fsync), so a process killed mid-write
 — or a power loss — can never leave a truncated cache.  Unlike checkpoints
 (which are per-job and disposable), a corrupt cache file is
 *quarantined* — renamed to ``<path>.corrupt`` — rather than deleted, so
-the evidence survives while the cache continues from empty.
-
-The save path carries one deliberate hook: if a
-:mod:`repro.serve.faults` injector is active, it fires between the temp
-write and the rename.  That is the exact window an atomicity bug would
-hide in, and the deterministic kill lets the property tests prove there
-is nothing there.
+the evidence survives while the cache continues from empty.  A save
+is one durable write, so a ``replace_crash`` disk fault kills it in
+the window between the temp write and the rename, the exact window an
+atomicity bug would hide in.
 """
 
 from __future__ import annotations
@@ -71,21 +68,13 @@ class TuneRecord:
     seed: int = 0
     trials: int = 0
     cost_model_version: int = field(default=COST_MODEL_VERSION)
-    #: axis -> value the tuning run *actually* used after resilience
-    #: downgrades (e.g. ``{"addition": "host_only"}``); empty on clean
-    #: runs and omitted from the serialization, so caches written
-    #: before this field existed stay byte-identical
-    effective_strategy: dict = field(default_factory=dict)
 
     @property
     def key(self) -> str:
         return f"{self.algorithm}/{self.fingerprint}/v{self.cost_model_version}"
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        if not d["effective_strategy"]:
-            del d["effective_strategy"]
-        return d
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "TuneRecord":
@@ -97,8 +86,7 @@ class TuneRecord:
                    seed=int(d.get("seed", 0)),
                    trials=int(d.get("trials", 0)),
                    cost_model_version=int(d.get("cost_model_version",
-                                                COST_MODEL_VERSION)),
-                   effective_strategy=dict(d.get("effective_strategy", {})))
+                                                COST_MODEL_VERSION)))
 
 
 class TuningCache:
@@ -137,17 +125,7 @@ class TuningCache:
         """
         doc = {"schema": TUNE_SCHEMA,
                "entries": {k: entries[k].to_dict() for k in sorted(entries)}}
-
-        def _kill_site() -> None:
-            # Deterministic kill site for the atomicity property tests:
-            # a serve.faults injector active here fires after the temp
-            # write but before the publish rename.
-            from ..serve.faults import JOB_FAULTS
-            inj = JOB_FAULTS.current
-            if inj is not None:
-                inj.on_job_start()
-
-        return atomic_write_json(self.path, doc, on_publish=_kill_site)
+        return atomic_write_json(self.path, doc)
 
     # ------------------------------------------------------------------ #
     def get(self, algorithm: str, fingerprint: str,

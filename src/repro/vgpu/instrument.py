@@ -2,10 +2,10 @@
 
 This module is the *hook point* between the simulated device and its
 scoped clients — the :mod:`repro.analysis` sanitizer, the
-:mod:`repro.obs` tracer and the :mod:`repro.vgpu.faults` device-fault
+:mod:`repro.obs` tracer and the :mod:`repro.vgpu.faults` fault
 injector — and deliberately knows nothing about any concrete client.
 Each client kind has one process-global :class:`HookSlot`
-(:data:`SANITIZER`, :data:`TRACER`, :data:`DEVICE_FAULTS`); the device
+(:data:`SANITIZER`, :data:`TRACER`, :data:`FAULTS`); the device
 primitives (:mod:`.atomics`, :mod:`.memory`, :mod:`.kernel`), the
 conflict engine (:mod:`repro.core.conflict`) and the counters read
 ``SLOT.current`` on every operation.  When no client is active (the
@@ -30,8 +30,12 @@ one is :class:`repro.obs.Tracer`); it is installed with
 bumps to it, and the :func:`trace_span` / :func:`trace_gauge`
 convenience wrappers sprinkled through the device and core layers add
 structure and samples.
-A device-fault client implements :class:`FaultHooks` and is offered
-each failure surface through the ``fault_*`` wrappers.
+
+The :data:`FAULTS` slot holds at most one fault injector
+(:class:`repro.vgpu.faults.FaultInjector`): the job body installs one
+per job attempt.  The device offers it each failure surface through
+the ``fault_*`` wrappers below; :mod:`repro.storage` offers it every
+durable write, and the job body the job start and round boundaries.
 
 Kernels that perform raw vectorized gathers/stores outside the atomics
 API can annotate them with :func:`record_read` / :func:`record_write`
@@ -45,8 +49,8 @@ from contextlib import contextmanager, nullcontext
 import numpy as np
 
 __all__ = [
-    "DEVICE_FAULTS", "SANITIZER", "TRACER",
-    "FaultHooks", "HookSlot", "SanitizerHooks", "TracerHooks",
+    "FAULTS", "SANITIZER", "TRACER",
+    "HookSlot", "SanitizerHooks", "TracerHooks",
     "fault_chunk", "fault_kernel", "fault_malloc", "fault_pool",
     "fault_transfer", "record_read", "record_write", "trace_gauge",
     "trace_span",
@@ -235,87 +239,46 @@ def trace_gauge(name: str, value: float) -> None:
 
 
 # ------------------------------------------------------------------ #
-# Fault hooks (consumed by repro.vgpu.faults / repro.resilience)     #
+# Fault sites (consumed by repro.vgpu.faults)                        #
 # ------------------------------------------------------------------ #
 
-class FaultHooks:
-    """No-op base interface for device fault injectors.
-
-    Unlike the sanitizer and tracer — which *observe* — a fault client
-    may **raise** from any hook (a typed :class:`repro.errors.\
-DeviceFault` subclass) or sleep wall-clock time, modeling the device
-    failing underneath the host.  It must still never mutate device
-    state or draw from a shared RNG, so a run whose faults are all
-    absorbed by the resilience layer stays byte-identical to a
-    fault-free run.
-
-    The hook vocabulary covers the device's failure surfaces:
-
-    * ``on_malloc`` — a :class:`~repro.vgpu.memory.DeviceAllocator`
-      request (and driver-level array growth): may raise
-      :class:`~repro.errors.OutOfDeviceMemory`;
-    * ``on_chunk_alloc`` — the §7.1 Kernel-Only chunk pool handing out
-      a fresh chunk: may raise :class:`~repro.errors.\
-ChunkPoolExhausted`;
-    * ``on_pool_release`` — the §7.2 recycle free-list absorbing
-      deleted slots: may raise :class:`~repro.errors.\
-RecyclePoolExhausted`;
-    * ``on_kernel_launch`` — a named launch about to start: may raise
-      :class:`~repro.errors.KernelAborted` (the retryable transient);
-    * ``on_transfer`` — a host<->device copy of ``words`` words: may
-      sleep (slow-PCIe modeling) but must not raise.
-    """
-
-    def on_malloc(self, nbytes: int) -> None:
-        pass
-
-    def on_chunk_alloc(self) -> None:
-        pass
-
-    def on_pool_release(self, n: int) -> None:
-        pass
-
-    def on_kernel_launch(self, name: str) -> None:
-        pass
-
-    def on_transfer(self, words: int) -> None:
-        pass
-
-
-#: the innermost active :class:`FaultHooks` client
-DEVICE_FAULTS = HookSlot()
+#: the active fault client (a :class:`repro.vgpu.faults.FaultInjector`).
+#: A fault hook may raise a typed :class:`repro.errors.DeviceFault` or
+#: sleep wall-clock time, modeling the device failing underneath the
+#: host; it never mutates device state or draws from a shared RNG.
+FAULTS = HookSlot()
 
 
 def fault_malloc(nbytes: int) -> None:
     """Offer an allocation of ``nbytes`` to the active fault client."""
-    fc = DEVICE_FAULTS.current
+    fc = FAULTS.current
     if fc is not None:
         fc.on_malloc(nbytes)
 
 
 def fault_chunk() -> None:
     """Offer a chunk-pool allocation to the active fault client."""
-    fc = DEVICE_FAULTS.current
+    fc = FAULTS.current
     if fc is not None:
         fc.on_chunk_alloc()
 
 
 def fault_pool(n: int) -> None:
     """Offer a recycle-pool release of ``n`` slots to the fault client."""
-    fc = DEVICE_FAULTS.current
+    fc = FAULTS.current
     if fc is not None:
         fc.on_pool_release(n)
 
 
 def fault_kernel(name: str) -> None:
     """Offer a named kernel launch to the active fault client."""
-    fc = DEVICE_FAULTS.current
+    fc = FAULTS.current
     if fc is not None:
         fc.on_kernel_launch(name)
 
 
 def fault_transfer(words: int) -> None:
     """Offer a host<->device transfer to the active fault client."""
-    fc = DEVICE_FAULTS.current
+    fc = FAULTS.current
     if fc is not None:
         fc.on_transfer(words)

@@ -16,7 +16,7 @@ from repro.meshing.generate import random_points_mesh
 from repro.resilience import Resilience, ResiliencePolicy
 from repro.serve import FaultPlan, JobSpec, run_job
 from repro.serve.jobs import JobContext, digest_arrays, get_adapter
-from repro.vgpu.faults import DeviceFaultPlan, DeviceFaultRule
+from repro.vgpu.faults import FaultRule, FaultRules
 
 
 @pytest.fixture()
@@ -206,7 +206,7 @@ class TestKernelAbortEveryDriver:
 
     @pytest.mark.parametrize("algo", sorted(CHAOS_PARAMS))
     def test_direct_driver_raises_repro_error(self, algo):
-        plan = DeviceFaultPlan.of(DeviceFaultRule(
+        plan = FaultRules.of(FaultRule(
             kind="kernel_abort", at=(1,), kernel=GUARD_KERNEL[algo]))
         ctx = JobContext(counter=OpCounter())
         with plan.injector().activate():
@@ -251,13 +251,13 @@ class TestAdditionFallbackChain:
 
     def test_full_chain_to_host_only_with_gauges(self):
         from repro.obs import Tracer
-        plan = DeviceFaultPlan.of(
-            DeviceFaultRule(kind="chunk_exhausted", at=(1,)),
-            DeviceFaultRule(kind="oom", at=(1,)))
-        resil = Resilience(faults=plan)
+        plan = FaultRules.of(
+            FaultRule(kind="chunk_exhausted", at=(1,)),
+            FaultRule(kind="oom", at=(1,)))
+        resil = Resilience()
         tracer = Tracer()
         ctx = JobContext(counter=OpCounter(), resilience=resil)
-        with tracer.activate():
+        with tracer.activate(), plan.injector().activate():
             arrays, summary = get_adapter("pta")(
                 CHAOS_PARAMS["pta"], {}, 5, ctx)
         assert resil.effective_strategy.get("addition") == "host_only"
@@ -277,11 +277,11 @@ class TestDeletionFallback:
     def _run(self):
         from repro.dmr import DMRConfig, refine_gpu
         from repro.meshing.generate import random_mesh
-        plan = DeviceFaultPlan.of(
-            DeviceFaultRule(kind="pool_exhausted", at=(1,)))
-        resil = Resilience(faults=plan)
+        plan = FaultRules.of(FaultRule(kind="pool_exhausted", at=(1,)))
+        resil = Resilience()
         mesh = random_mesh(120, seed=3).copy()
-        refine_gpu(mesh, DMRConfig(), resilience=resil)
+        with plan.injector().activate():
+            refine_gpu(mesh, DMRConfig(), resilience=resil)
         return mesh, resil
 
     def test_marking_fallback_is_plan_deterministic(self):
@@ -300,8 +300,7 @@ class TestDeletionFallback:
         from repro.dmr import DMRConfig, refine_gpu
         from repro.errors import RecyclePoolExhausted
         from repro.meshing.generate import random_mesh
-        plan = DeviceFaultPlan.of(
-            DeviceFaultRule(kind="pool_exhausted", at=(1,)))
+        plan = FaultRules.of(FaultRule(kind="pool_exhausted", at=(1,)))
         mesh = random_mesh(120, seed=3).copy()
         with plan.injector().activate():
             with pytest.raises(RecyclePoolExhausted):
@@ -313,8 +312,8 @@ class TestSlowTransfer:
     """Slow host transfers delay but never change the result."""
 
     def test_digest_unchanged_and_counted(self):
-        plan = DeviceFaultPlan.of(
-            DeviceFaultRule(kind="slow_transfer", rate=1.0, delay_s=0.0))
+        plan = FaultRules.of(
+            FaultRule(kind="slow_transfer", rate=1.0, delay_s=0.0))
         ctx = JobContext(counter=OpCounter())
         with plan.injector().activate() as inj:
             arrays, summary = get_adapter("dmr")(
@@ -382,14 +381,14 @@ class TestChaosProperties:
     @settings(max_examples=10, deadline=None)
     def test_mst_abort_storm(self, fault_seed, rate):
         def attempt():
-            plan = DeviceFaultPlan.of(DeviceFaultRule(
+            plan = FaultRules.of(FaultRule(
                 kind="kernel_abort", rate=rate, seed=fault_seed,
                 kernel=GUARD_KERNEL["mst"]))
-            resil = Resilience(faults=plan)
-            ctx = JobContext(counter=OpCounter(), resilience=resil)
+            ctx = JobContext(counter=OpCounter(), resilience=Resilience())
             try:
-                arrays, summary = get_adapter("mst")(
-                    CHAOS_PARAMS["mst"], {}, 5, ctx)
+                with plan.injector().activate():
+                    arrays, summary = get_adapter("mst")(
+                        CHAOS_PARAMS["mst"], {}, 5, ctx)
             except ReproError as exc:
                 return ("raised", type(exc).__name__)
             return ("ok", digest_arrays(arrays, summary))

@@ -16,10 +16,9 @@ from repro.core.counters import OpCounter
 from repro.obs import (BENCH_SCHEMA, Tracer, TraceSchemaError, chrome_trace,
                        metrics_dict, read_bench, validate_chrome_trace,
                        write_bench, write_chrome_trace)
-from repro.serve.faults import DISK_FAULTS, JOB_FAULTS
 from repro.vgpu import CostModel, KernelLauncher, LaunchConfig
-from repro.vgpu.instrument import (DEVICE_FAULTS, SANITIZER, TRACER,
-                                   trace_gauge, trace_span)
+from repro.vgpu.instrument import (FAULTS, SANITIZER, TRACER, trace_gauge,
+                                   trace_span)
 
 
 def _launch(tr: Tracer, name: str = "k", counter: OpCounter | None = None,
@@ -208,9 +207,7 @@ def test_activate_installs_and_restores():
 
 
 @pytest.mark.parametrize(
-    "slot", [SANITIZER, TRACER, DEVICE_FAULTS, JOB_FAULTS, DISK_FAULTS],
-    ids=["sanitizer", "tracer", "device_faults", "job_faults",
-         "disk_faults"])
+    "slot", [SANITIZER, TRACER, FAULTS], ids=["sanitizer", "tracer", "faults"])
 def test_hook_slot_contract(slot):
     outer, inner = object(), object()
     assert slot.current is None

@@ -25,7 +25,7 @@ from repro.resilience.policy import Resilience
 from repro.serve.checkpoint import CheckpointStore, dumps_state, loads_state
 from repro.sessions import Session, SessionSpec
 from repro.sessions.planners.pta import PtaPlanner
-from repro.vgpu.faults import DeviceFaultPlan, DeviceFaultRule
+from repro.vgpu.faults import FaultRule, FaultRules
 from repro.vgpu.memory import ChunkAllocator
 
 FIXTURES = Path(__file__).parent / "fixtures" / "sessions"
@@ -406,10 +406,11 @@ class TestFlatIndex:
     def test_fallback_storage_models_the_same_content(self):
         # Both downgrades fire; the chain still receives every new ID.
         cons = generate_constraints(80, 200, seed=4)
-        resil = Resilience(faults=DeviceFaultPlan.of(
-            DeviceFaultRule("chunk_exhausted", at=(2,)),
-            DeviceFaultRule("oom", at=(1,))))
-        res = andersen_pull(cons, chunk_size=4, resilience=resil)
+        faults = FaultRules.of(FaultRule("chunk_exhausted", at=(2,)),
+                               FaultRule("oom", at=(1,)))
+        resil = Resilience()
+        with faults.injector().activate():
+            res = andersen_pull(cons, chunk_size=4, resilience=resil)
         assert [e["to"] for e in resil.events] == ["kernel_host",
                                                    "host_only"]
         storage = res.graph.storage

@@ -115,9 +115,9 @@ class TestMutations:
 class TestRecordReplay:
     def test_record_then_replay_reproduces(self):
         sc = _record()
-        report, recorder = replay_scenario(sc)
+        report, batch = replay_scenario(sc)
         assert report.ok
-        assert len(recorder.records) == 1
+        assert len(batch.records) == 1
 
     def test_duplicate_job_names_rejected(self):
         with pytest.raises(ValueError, match="unique"):
@@ -180,10 +180,10 @@ class TestComposition:
         sc = record_scenario("compose", [spec])
         detector, tracer = RaceDetector(), Tracer()
         with detector.activate():
-            report, recorder = replay_scenario(sc, tracer=tracer)
+            report, batch = replay_scenario(sc, tracer=tracer)
         detector.assert_clean()
         assert report.ok
-        assert recorder.records[0].result.digest == plain.result.digest
+        assert batch.records[0].result.digest == plain.result.digest
         names = [e.name for e in tracer.events]
         assert "scenario.replay" in names and "serve.job" in names
 

@@ -39,12 +39,14 @@ from repro.sessions.__main__ import main as sessions_cli
 from repro.sessions.planners.mst import MstPlanner, forest_components
 from repro.sessions.serve import run_session_job
 from repro.vgpu.costmodel import CostModel
+from repro.vgpu.sync import BARRIERS
 
 pytestmark = pytest.mark.session
 
 
 # --------------------------------------------------------------------- #
-# Small streams per algorithm: ≥3 batches, mixed op vocabulary
+# Small streams per algorithm: ≥3 batches, mixed op vocabulary, params
+# the adapter reads, and every batch changes the session digest
 # --------------------------------------------------------------------- #
 
 STREAMS = {
@@ -52,25 +54,25 @@ STREAMS = {
             [[{"op": "add_edges", "count": 6, "seed": 1}],
              [{"op": "reweight_edges", "count": 5, "seed": 2}],
              [{"op": "drop_edges", "count": 4, "seed": 3}]]),
-    "pta": ({"num_vars": 120, "num_constraints": 420},
-            [[{"op": "add_constraints", "count": 5, "seed": 1}],
-             [{"op": "add_constraints", "count": 5, "seed": 2}],
-             [{"op": "drop_constraints", "count": 3, "seed": 3}]]),
-    "sp": ({"num_vars": 50, "num_clauses": 170},
+    "pta": ({"num_vars": 150, "num_constraints": 200},
+            [[{"op": "add_constraints", "count": 6, "seed": 1}],
+             [{"op": "add_constraints", "count": 6, "seed": 2}],
+             [{"op": "drop_constraints", "count": 5, "seed": 3}]]),
+    "sp": ({"num_vars": 50, "ratio": 3.4},
            [[{"op": "add_clauses", "count": 5, "seed": 1}],
-            [{"op": "drop_clauses", "count": 3, "seed": 2}],
-            [{"op": "add_clauses", "count": 2, "seed": 3}]]),
-    "dmr": ({"num_points": 50, "threshold": 22.0},
+            [{"op": "drop_clauses", "count": 5, "seed": 2}],
+            [{"op": "add_clauses", "count": 4, "seed": 3}]]),
+    "dmr": ({"n_triangles": 100},
             [[{"op": "insert_points", "count": 3, "seed": 1}],
              [{"op": "insert_points", "count": 2, "seed": 2}],
              [{"op": "insert_points", "count": 2, "seed": 3}]]),
-    "insertion": ({"num_points": 70},
+    "insertion": ({"n_triangles": 120, "n_points": 70},
                   [[{"op": "add_points", "count": 4, "seed": 1}],
                    [{"op": "drop_points", "count": 3, "seed": 2}],
                    [{"op": "add_points", "count": 2, "seed": 3}]]),
     "engine": ({"num_nodes": 70, "num_edges": 210},
                [[{"op": "add_edges", "count": 5, "seed": 1}],
-                [{"op": "reweight_edges", "count": 4, "seed": 2}],
+                [{"op": "add_edges", "count": 4, "seed": 2}],
                 [{"op": "drop_edges", "count": 3, "seed": 3}]]),
 }
 
@@ -97,10 +99,16 @@ def test_planner_registry_covers_all_algorithms():
 @pytest.mark.parametrize("algorithm", sorted(STREAMS))
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_differential_gate(algorithm, seed):
-    """Every batch, every seed: session digest == cold full recompute."""
+    """Every batch, every seed: session digest == cold full recompute,
+    and every batch changes the digest (so the check is not vacuous)."""
     session = Session.open(_spec(algorithm, seed))
+    before = session.digest()
     for ops in session.spec.batches:
         result = session.apply_batch(ops)
+        assert result.digest != before, (
+            f"{algorithm} seed={seed} batch={result.batch} left the "
+            f"digest unchanged")
+        before = result.digest
         matches, cold = session.verify_full()
         assert matches, (
             f"{algorithm} seed={seed} batch={result.batch} "
@@ -647,6 +655,26 @@ def test_traced_stream_adds_up_to_batch_costs(algorithm):
                                           rel=1e-9)
     assert all(e.dur >= 0 for e in tracer.events)
     validate_chrome_trace(chrome_trace(tracer))
+
+
+@pytest.mark.parametrize("barrier", sorted(BARRIERS))
+def test_session_counter_prices_as_open_plus_batches(barrier):
+    """The cumulative counter merges one solve per full batch; priced,
+    it equals the open's cost plus every batch's ``cost_s`` (merging
+    keeps one ``barrier_kind`` instead of summing it out of range)."""
+    spec = SessionSpec(
+        name="priced", algorithm="mst",
+        params={"num_nodes": 120, "num_edges": 480},
+        strategy={"barrier": barrier}, seed=1, full_threshold=0.0,
+        batches=[[{"op": "add_edges", "count": 4, "seed": i}]
+                 for i in (1, 2, 3)])
+    session = Session.open(spec)
+    open_cost = session.full_cost_s
+    results = [session.apply_batch(ops) for ops in spec.batches]
+    assert [r.mode for r in results] == ["full"] * 3
+    assert CostModel().gpu_time(session.counter) == pytest.approx(
+        open_cost + sum(r.cost_s for r in results), rel=1e-9)
+    assert session.counter.scalars["barrier_kind"] == BARRIERS[barrier].index
 
 
 def test_gauges_emitted_per_batch():

@@ -5,9 +5,7 @@ The contract under test is *old-or-new, never a mix*: a write killed at
 any step of the temp-write/fsync/rename protocol — disk full mid-write,
 process death mid-write, death between fsync and rename, power loss
 around the publish — leaves the published path holding either the
-complete previous version or the complete new version.  The one
-deliberate exception (``fsync=False`` + power loss) must corrupt in the
-way the quarantine paths catch.
+complete previous version or the complete new version.
 
 The fast deterministic checks run in tier-1; the hypothesis-driven
 kill-at-every-site sweeps are marked ``durability`` and run with
@@ -27,10 +25,11 @@ from repro.gateway.journal import Journal, read_journal
 from repro.scenarios.format import (Scenario, canonical_bytes,
                                     load_scenario, save_scenario)
 from repro.serve.checkpoint import CheckpointStore
-from repro.serve.faults import (DISK_FAULTS, DISK_KINDS, DiskFaultInjector,
-                                DiskFaultPlan, DiskFaultRule, FaultInjected)
 from repro.storage import atomic_write_bytes, atomic_write_json, quarantine
 from repro.tune.cache import TuneRecord, TuningCache
+from repro.vgpu.faults import (DISK_KINDS, FaultInjected, FaultInjector,
+                               FaultRule, FaultRules)
+from repro.vgpu.instrument import FAULTS
 
 #: every error a faulted durable write may surface
 WRITE_ERRORS = (StorageFault, FaultInjected)
@@ -40,9 +39,8 @@ _SETTINGS = settings(max_examples=25, deadline=None,
 
 
 def _injector(kind: str, at: int = 1, path: str | None = None
-              ) -> DiskFaultInjector:
-    return DiskFaultInjector(DiskFaultPlan.of(
-        DiskFaultRule(kind=kind, at=(at,), path=path)))
+              ) -> FaultInjector:
+    return FaultRules.of(FaultRule(kind=kind, at=(at,), path=path)).injector()
 
 
 def _record(tag: str) -> TuneRecord:
@@ -77,7 +75,7 @@ class TestAtomicWrite:
     def test_every_fault_kind_keeps_the_old_version(self, tmp_path, kind):
         path = tmp_path / "a.bin"
         atomic_write_bytes(path, b"old-version")
-        with DISK_FAULTS.activate(_injector(kind)):
+        with FAULTS.activate(_injector(kind)):
             with pytest.raises(WRITE_ERRORS):
                 atomic_write_bytes(path, b"new-version")
         assert path.read_bytes() == b"old-version"
@@ -85,21 +83,10 @@ class TestAtomicWrite:
         atomic_write_bytes(path, b"new-version")
         assert path.read_bytes() == b"new-version"
 
-    def test_fsync_false_power_loss_tears_the_published_file(self,
-                                                             tmp_path):
-        # The one corruption the protocol admits — and only when the
-        # caller explicitly opted out of the fsync ordering.
-        path = tmp_path / "a.bin"
-        atomic_write_bytes(path, b"old-version")
-        with DISK_FAULTS.activate(_injector("fsync_lost")):
-            with pytest.raises(FaultInjected):
-                atomic_write_bytes(path, b"new-version", fsync=False)
-        assert path.read_bytes() not in (b"old-version", b"new-version")
-
     def test_path_filter_targets_only_matching_writes(self, tmp_path):
-        inj = DiskFaultInjector(DiskFaultPlan.of(
-            DiskFaultRule(kind="enospc", at=(1, 2), path=".ckpt")))
-        with DISK_FAULTS.activate(inj):
+        inj = FaultRules.of(
+            FaultRule(kind="enospc", at=(1, 2), path=".ckpt")).injector()
+        with FAULTS.activate(inj):
             # Event 1 is due but filtered out by path — and it still
             # advances the counter (a filter never re-times a rule).
             atomic_write_bytes(tmp_path / "a.json", b"fine")
@@ -132,7 +119,7 @@ class TestAtomicWriteProperties:
         path = tmp_path_factory.mktemp("aw") / "artifact.bin"
         if old is not None:
             atomic_write_bytes(path, old)
-        with DISK_FAULTS.activate(_injector(kind)):
+        with FAULTS.activate(_injector(kind)):
             with pytest.raises(WRITE_ERRORS):
                 atomic_write_bytes(path, new)
         if old is None:
@@ -155,7 +142,7 @@ class TestCheckpointDurability:
         states = {v: {"round": v, "payload": list(range(v))}
                   for v in (1, 2, 3)}
         failed = None
-        with DISK_FAULTS.activate(_injector(kind, at=at)):
+        with FAULTS.activate(_injector(kind, at=at)):
             for v, state in states.items():
                 try:
                     store.save("job", state, version=v)
@@ -194,7 +181,7 @@ class TestTuneCacheDurability:
             record = _record(tag)
             try:
                 # Each put is one durable write event.
-                with DISK_FAULTS.activate(
+                with FAULTS.activate(
                         _injector(kind, at=1 if i == at else 99)):
                     cache.put(record)
             except WRITE_ERRORS:
@@ -225,7 +212,7 @@ class TestScenarioDurability:
         old = Scenario(name="old", description="v1")
         new = Scenario(name="new", description="v2")
         save_scenario(path, old)
-        with DISK_FAULTS.activate(_injector(kind)):
+        with FAULTS.activate(_injector(kind)):
             with pytest.raises(WRITE_ERRORS):
                 save_scenario(path, new)
         assert path.read_bytes() == canonical_bytes(old)
@@ -254,13 +241,13 @@ class TestJournalDurability:
         surfaces as corruption, no acknowledged record is lost."""
         total = 8
         rules = tuple(
-            DiskFaultRule(kind=kind,
+            FaultRule(kind=kind,
                           at=(data.draw(st.integers(min_value=2,
                                                     max_value=total + 1),
                                         label=kind),))
             for kind in kinds)
         journal = Journal(tmp_path_factory.mktemp("wal"),
-                          fault_plan=DiskFaultPlan(rules=rules))
+                          fault_plan=FaultRules(rules=rules))
         journal.open()
         acknowledged = []
         for seq in range(1, total + 1):

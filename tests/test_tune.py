@@ -14,8 +14,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.counters import OpCounter
 from repro.serve import JobSpec, estimate_cost, order_jobs, run_job
-from repro.serve.faults import (JOB_FAULTS, FaultInjected, FaultInjector,
-                                FaultPlan)
 from repro.serve.jobs import JobContext, get_adapter
 from repro.tune import (AUTO_SEED, ENGINES, TUNE_SCHEMA, ConfigSpace,
                         TuneRecord, TuningCache, config_key,
@@ -24,6 +22,7 @@ from repro.tune import (AUTO_SEED, ENGINES, TUNE_SCHEMA, ConfigSpace,
                         score_config, space_for, tune)
 from repro.tune.__main__ import main as tune_main
 from repro.vgpu.costmodel import COST_MODEL_VERSION, CostModel
+from repro.vgpu.faults import FaultInjected, FaultRule, FaultRules
 
 
 def _record(algorithm="mst", fingerprint="f" * 16, config=None,
@@ -313,11 +312,11 @@ class TestTuningCache:
         first = _record(fingerprint="a" * 16)
         cache.put(first)
         before = cache.path.read_bytes()
-        inj = FaultInjector(FaultPlan(kind="kill", attempts=(1,)))
-        with JOB_FAULTS.activate(inj):
+        inj = FaultRules.of(FaultRule("replace_crash", at=(1,))).injector()
+        with inj.activate():
             with pytest.raises(FaultInjected):
                 cache.put(_record(fingerprint="b" * 16))
-        assert inj.fired == 1
+        assert inj.fired["replace_crash"] == 1
         # the published file is exactly the pre-kill cache
         assert cache.path.read_bytes() == before
         assert set(cache.load()) == {first.key}
@@ -375,7 +374,8 @@ class TestCacheProperties:
         if entries:
             cache.save(entries)
         before = cache.path.read_bytes() if entries else None
-        with JOB_FAULTS.activate(FaultInjector(FaultPlan(kind="kill", attempts=(1,)))):
+        crash = FaultRules.of(FaultRule("replace_crash", at=(1,)))
+        with crash.injector().activate():
             with pytest.raises(FaultInjected):
                 cache.put(incoming)
         if entries:

@@ -14,7 +14,7 @@ from repro.vgpu import (ChunkAllocator, CostModel, DeviceAllocator, FENCE,
 from repro.vgpu.atomics import (atomic_add, atomic_cas_batch, atomic_max,
                                 atomic_min, atomic_or, fetch_add_serialized,
                                 scatter_write)
-from repro.vgpu.faults import DeviceFaultPlan, DeviceFaultRule
+from repro.vgpu.faults import FaultRule, FaultRules
 
 
 class TestDeviceSpecs:
@@ -265,7 +265,7 @@ class TestMemory:
         # is all-or-nothing: no chunk of the failed request is counted.
         ca = ChunkAllocator(chunk_size=4)
         lst = ca.new_list()
-        plan = DeviceFaultPlan.of(DeviceFaultRule("chunk_exhausted", at=(2,)))
+        plan = FaultRules.of(FaultRule("chunk_exhausted", at=(2,)))
         with plan.injector().activate(), pytest.raises(ChunkPoolExhausted):
             ca.insert_many(lst, np.arange(10))
         assert len(lst) == 0 and lst.chunks == []
@@ -276,7 +276,7 @@ class TestMemory:
     def test_host_chunk_fault_mid_insert_counts_nothing(self):
         ca = HostChunkAllocator(4, DeviceAllocator())
         lst = ca.new_list()
-        plan = DeviceFaultPlan.of(DeviceFaultRule("oom", at=(3,)))
+        plan = FaultRules.of(FaultRule("oom", at=(3,)))
         with plan.injector().activate(), pytest.raises(OutOfDeviceMemory):
             ca.insert_many(lst, np.arange(10))
         assert len(lst) == 0
@@ -298,7 +298,7 @@ class TestMemory:
 
     def test_account_growth_fault_counts_nothing(self):
         ca = ChunkAllocator(chunk_size=4)
-        plan = DeviceFaultPlan.of(DeviceFaultRule("chunk_exhausted", at=(3,)))
+        plan = FaultRules.of(FaultRule("chunk_exhausted", at=(3,)))
         with plan.injector().activate(), pytest.raises(ChunkPoolExhausted):
             ca.account_growth(np.array([0, 3]), np.array([10, 2]))
         assert (ca.chunks_allocated, ca.slots_used) == (0, 0)

@@ -36,7 +36,7 @@ from ..storage import atomic_write_bytes, quarantine
 
 __all__ = ["SCENARIO_SCHEMA", "GoldenJob", "Scenario", "canonical_bytes",
            "save_scenario", "load_scenario", "golden_from_record",
-           "scenario_paths"]
+           "goldens", "scenario_paths"]
 
 #: schema tag stamped into every scenario file (bump on format changes)
 SCENARIO_SCHEMA = "repro.scenario/1"
@@ -119,6 +119,12 @@ def golden_from_record(record) -> GoldenJob:
         resilience_events=_plain(list(record.resilience_events)),
         failures=[_failure_kind(f) for f in record.failures],
     )
+
+
+def goldens(records) -> dict[str, GoldenJob]:
+    """A batch's golden table: job name -> :func:`golden_from_record`,
+    in the records' order."""
+    return {r.spec.name: golden_from_record(r) for r in records}
 
 
 def _failure_kind(message: str) -> str:

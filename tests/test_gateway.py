@@ -317,6 +317,16 @@ class TestTenantNames:
             gateway.close_session("t0", SESSION_SPEC["name"])
 
 
+class TestJournalFaultConfig:
+    def test_device_kind_fails_start_before_any_worker(self, tmp_path):
+        gateway = Gateway(GatewayConfig(
+            journal_dir=str(tmp_path / "journal"),
+            journal_fault={"rules": [{"kind": "oom", "at": [1]}]}))
+        with pytest.raises(ValueError, match="disk kind"):
+            gateway.start()
+        assert gateway.pool is None
+
+
 # --------------------------------------------------------------------- #
 # Satellite: multi-tenant checkpoint-spool isolation
 # --------------------------------------------------------------------- #

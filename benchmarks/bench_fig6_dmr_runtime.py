@@ -53,7 +53,8 @@ def test_fig6_dmr_runtime(dmr_runs, benchmark):
     from repro.dmr import refine_gpu, DMRConfig
     smallest = min(dmr_runs)
     tracer = Tracer()
-    refine_gpu(mesh_for(smallest), tracer=tracer)
+    with tracer.activate():
+        refine_gpu(mesh_for(smallest))
     doc = chrome_trace(tracer)
     validate_chrome_trace(doc)
     gpu_s = cm.gpu_time(dmr_runs[smallest]["gpu"].counter)

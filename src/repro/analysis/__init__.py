@@ -21,13 +21,15 @@ ThreadSanitizer, with three layers:
   manifest-drift (STA205) rules, plus the folded ``KRN101``–``KRN104``
   lint rules.
 
-Every algorithm driver takes an opt-in ``sanitizer=`` keyword::
+A detector reaches a run through the ``SANITIZER`` hook slot of
+:mod:`repro.vgpu.instrument`; no driver takes it as an argument::
 
     from repro.analysis import RaceDetector
     from repro.dmr import refine_gpu
 
     det = RaceDetector()
-    refine_gpu(mesh, sanitizer=det)
+    with det.activate():            # analyzes buffered accesses on exit
+        refine_gpu(mesh)
     det.assert_clean()
 
 See ``docs/SANITIZER.md`` for the full usage guide.

@@ -29,7 +29,7 @@ import numpy as np
 from ..errors import EngineStalled, MaxRoundsExceeded
 from ..resilience.policy import launch_ok
 from ..resilience.watchdog import StallLadder
-from ..vgpu.instrument import SANITIZER, trace_gauge, trace_span
+from ..vgpu.instrument import RESILIENCE, SANITIZER, trace_gauge, trace_span
 from .conflict import three_phase_mark
 from .counters import OpCounter
 from .ragged import Ragged
@@ -120,7 +120,6 @@ def run_morph_rounds(
     snapshot: Callable[[], object] | None = None,
     on_checkpoint: Callable[[EngineCheckpoint], None] | None = None,
     resume: EngineCheckpoint | None = None,
-    resilience=None,
 ) -> MorphStats:
     """Drive plan/mark/apply rounds until ``active()`` is empty.
 
@@ -159,11 +158,12 @@ def run_morph_rounds(
     ``max_rounds`` raises :class:`repro.errors.MaxRoundsExceeded`.
     Both are ``RuntimeError`` subclasses.
 
-    ``resilience`` (opt-in, a :class:`repro.resilience.Resilience`)
-    absorbs transient :class:`repro.errors.KernelAborted` faults at
-    round boundaries by re-issuing the round (up to the policy's retry
-    budget) and supplies the ladder's configuration; without it, an
-    injected abort propagates typed.
+    A :class:`repro.resilience.Resilience` installed in the
+    :data:`~repro.vgpu.instrument.RESILIENCE` slot absorbs transient
+    :class:`repro.errors.KernelAborted` faults at round boundaries by
+    re-issuing the round (up to the policy's retry budget) and supplies
+    the ladder's configuration; with the slot empty, an injected abort
+    propagates typed.
     """
     rng = rng or np.random.default_rng(0)
     if counter is not None:
@@ -177,8 +177,9 @@ def run_morph_rounds(
         stats.merge(copy.deepcopy(resume.stats))
         rng.bit_generator.state = copy.deepcopy(resume.rng_state)
     stalled = resume.stalled if resume is not None else 0
-    if resilience is not None:
-        pol = resilience.policy
+    resil = RESILIENCE.current
+    if resil is not None:
+        pol = resil.policy
         ladder = StallLadder(seed=pol.escalation_seed,
                              max_level=pol.max_escalations)
         stall_rounds = pol.stall_rounds
@@ -191,7 +192,7 @@ def run_morph_rounds(
         items = list(active())
         if not items:
             return stats
-        if not launch_ok(resilience, kernel):
+        if not launch_ok(kernel):
             continue        # absorbed transient abort: re-issue the round
         stats.rounds += 1
         if round_hook is not None:
@@ -235,7 +236,7 @@ def run_morph_rounds(
         if wins == 0:
             stalled += 1
             if stalled >= stall_rounds:
-                if not ladder.escalate(resilience):
+                if not ladder.escalate():
                     raise EngineStalled(
                         "morph engine stalled: no winner applied in "
                         f"{stalled} consecutive rounds at escalation "
@@ -245,7 +246,7 @@ def run_morph_rounds(
                 stalled = 0     # the new level gets its own budget
         else:
             stalled = 0
-            ladder.reset(resilience)
+            ladder.reset()
         if (checkpoint_every > 0 and on_checkpoint is not None
                 and stats.rounds % checkpoint_every == 0):
             on_checkpoint(EngineCheckpoint(

@@ -47,7 +47,8 @@ from ..meshing.mesh import TriMesh
 from ..resilience.addition import grow_array
 from ..resilience.deletion import ResilientRecyclePool
 from ..resilience.policy import launch_ok
-from ..vgpu.instrument import SANITIZER, TRACER, fault_transfer, trace_span
+from ..vgpu.instrument import (RESILIENCE, SANITIZER, TRACER, fault_transfer,
+                               trace_span)
 from ..vgpu.memory import RecyclePool
 from ..vgpu.sync import BARRIERS, FENCE, BarrierModel
 from .plan import RefinePlan, apply_plan
@@ -347,8 +348,7 @@ def _expand_cavities(mesh: TriMesh, px, py, cur, tx, ty,
 # ------------------------------------------------------------------ #
 
 def refine_gpu(mesh: TriMesh, config: DMRConfig | None = None,
-               counter: OpCounter | None = None, *,
-               sanitizer=None, tracer=None, resilience=None) -> DMRResult:
+               counter: OpCounter | None = None) -> DMRResult:
     """Refine ``mesh`` with the simulated-GPU kernel; returns statistics.
 
     Structure follows the paper's Fig. 3: the host launches the
@@ -363,31 +363,29 @@ def refine_gpu(mesh: TriMesh, config: DMRConfig | None = None,
     set (a reordered copy is refined); the refined mesh is in
     ``result.mesh`` either way.
 
-    ``sanitizer`` (opt-in) activates a :mod:`repro.analysis` detector
-    for the duration of the refinement: every marking round is audited
-    and the device primitives report to its shadow memory.
+    The run reports to the clients in the
+    :mod:`repro.vgpu.instrument` slots.  A sanitizer
+    (``with RaceDetector().activate():``) audits every marking round
+    and shadows the device primitives.  A tracer
+    (``with Tracer().activate():``) records the run as a span hierarchy
+    (driver -> iteration -> launches and host transfers) priced by the
+    cost model, plus gauges, without perturbing the refinement (no RNG
+    draws, no state changes).
 
-    ``tracer`` (opt-in) activates a :mod:`repro.obs` tracer: the run is
-    recorded as a span hierarchy (driver -> iteration -> launches and
-    host transfers) priced by the cost model, plus gauges, without
-    perturbing the refinement (no RNG draws, no state changes).
-
-    ``resilience`` (opt-in, a :class:`repro.resilience.Resilience`)
+    A :class:`repro.resilience.Resilience` in the ``RESILIENCE`` slot
     degrades gracefully under device faults: transient kernel aborts at
     the do-while boundary are re-issued, refused over-allocating growth
-    falls back to exact-fit (§7.1 growth-and-retry — byte-identical
-    results either way), and §7.2 recycle-pool exhaustion falls back to
-    Marking deletion.  Without it, injected faults propagate as typed
+    falls back to exact-fit (byte-identical results either way), and
+    §7.2 recycle-pool exhaustion falls back to Marking deletion.  With
+    the slot empty, injected faults propagate as typed
     :class:`repro.errors.ReproError`\\ s.
     """
-    with SANITIZER.maybe_activate(sanitizer):
-        with TRACER.maybe_activate(tracer):
-            with trace_span("dmr.refine_gpu", cat="driver"):
-                return _refine_impl(mesh, config, counter, resilience)
+    with trace_span("dmr.refine_gpu", cat="driver"):
+        return _refine_impl(mesh, config, counter)
 
 
 def _refine_impl(mesh: TriMesh, config: DMRConfig | None,
-                 counter: OpCounter | None, resil=None) -> DMRResult:
+                 counter: OpCounter | None) -> DMRResult:
     cfg = config or DMRConfig()
     rng = np.random.default_rng(cfg.seed)
     ctr = counter or OpCounter()
@@ -401,8 +399,8 @@ def _refine_impl(mesh: TriMesh, config: DMRConfig | None,
     fault_transfer(2 * mesh.n_pts + 9 * mesh.num_triangles)
     ctr.bump("h2d_words", 2 * mesh.n_pts + 9 * mesh.num_triangles)
     ctr.bump("xfer_calls", 1)
-    pool = (ResilientRecyclePool(RecyclePool(), resilience=resil)
-            if resil is not None else RecyclePool())
+    pool = (ResilientRecyclePool(RecyclePool())
+            if RESILIENCE.current is not None else RecyclePool())
     marks = np.full(mesh.tri.shape[0], -1, dtype=np.int64)
 
     processed = aborted_conf = aborted_geom = added = 0
@@ -414,7 +412,7 @@ def _refine_impl(mesh: TriMesh, config: DMRConfig | None,
         bad_all = mesh.bad_slots()
         if bad_all.size == 0:
             break
-        if not launch_ok(resil, "dmr.round"):
+        if not launch_ok("dmr.round"):
             continue        # absorbed transient abort: re-issue the launch
         launch = cfg.adaptive.next(outer, abort_ratio=prev_abort_ratio,
                                    pending=int(bad_all.size))
@@ -513,7 +511,7 @@ def _refine_impl(mesh: TriMesh, config: DMRConfig | None,
                 else:
                     grow = max(mesh.n_tris + fresh_needed,
                                int(mesh.tri.shape[0] * cfg.growth_factor) + 8)
-                    grow_array(resil, mesh.ensure_tri_capacity,
+                    grow_array(mesh.ensure_tri_capacity,
                                preferred=grow,
                                exact=mesh.n_tris + fresh_needed)
                     ctr.bump("reallocs")
@@ -640,8 +638,7 @@ def dmr_config(strategy, seed: int) -> DMRConfig:
     return DMRConfig(seed=seed, **kwargs)
 
 
-def dmr_insert(mesh: TriMesh, ops, cfg: DMRConfig, counter,
-               resilience=None) -> TriMesh:
+def dmr_insert(mesh: TriMesh, ops, cfg: DMRConfig, counter) -> TriMesh:
     """Insert each op's points through the §9 driver; returns the mesh.
 
     The refine that follows prices the whole counter under ``cfg``, so
@@ -654,14 +651,13 @@ def dmr_insert(mesh: TriMesh, ops, cfg: DMRConfig, counter,
     for op in ops:
         mx, my = mutation_points(op)
         mesh = gpu_insert_points(mesh, mx, my, seed=int(op.get("seed", 0)),
-                                 counter=counter,
-                                 resilience=resilience).mesh
+                                 counter=counter).mesh
     return mesh
 
 
-def dmr_refine(mesh: TriMesh, cfg: DMRConfig, counter, resilience=None):
+def dmr_refine(mesh: TriMesh, cfg: DMRConfig, counter):
     """Refine ``mesh``; returns the job's ``(arrays, summary)``."""
-    res = refine_gpu(mesh, cfg, counter=counter, resilience=resilience)
+    res = refine_gpu(mesh, cfg, counter=counter)
     out = res.mesh
     arrays = (out.tri[: out.n_tris], out.px[: out.n_pts],
               out.py[: out.n_pts], out.isdel[: out.n_tris])
@@ -702,6 +698,5 @@ def serve_job(params, strategy, seed, ctx):
     strategy = resolve_strategy("dmr", params, strategy)
     cfg = dmr_config(strategy, seed)
     mesh, ops = dmr_input(params, seed)
-    resilience = getattr(ctx, "resilience", None)
-    mesh = dmr_insert(mesh, ops, cfg, ctx.counter, resilience)
-    return dmr_refine(mesh, cfg, ctx.counter, resilience)
+    mesh = dmr_insert(mesh, ops, cfg, ctx.counter)
+    return dmr_refine(mesh, cfg, ctx.counter)

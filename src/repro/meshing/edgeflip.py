@@ -30,7 +30,7 @@ import numpy as np
 
 from ..core.counters import OpCounter
 from ..core.engine import MorphPlan, run_morph_rounds
-from ..vgpu.instrument import SANITIZER, TRACER, trace_span
+from ..vgpu.instrument import trace_span
 from . import geometry as geo
 from .mesh import TriMesh
 
@@ -118,19 +118,15 @@ class FlipResult:
 
 
 def legalize_gpu(mesh: TriMesh, *, seed: int = 0,
-                 counter: OpCounter | None = None,
-                 sanitizer=None, tracer=None) -> FlipResult:
+                 counter: OpCounter | None = None) -> FlipResult:
     """Flip concurrently until the mesh is Delaunay (mutates in place).
 
-    ``sanitizer`` (opt-in) activates a :mod:`repro.analysis` detector
-    for the duration of the legalization rounds.  ``tracer`` (opt-in)
-    activates a :mod:`repro.obs` tracer; the morph engine supplies the
-    per-round spans.
+    An active sanitizer audits the legalization rounds; under an active
+    :mod:`repro.obs` tracer the morph engine supplies the per-round
+    spans.
     """
-    with SANITIZER.maybe_activate(sanitizer):
-        with TRACER.maybe_activate(tracer):
-            with trace_span("meshing.legalize_gpu", cat="driver"):
-                return _legalize_impl(mesh, seed=seed, counter=counter)
+    with trace_span("meshing.legalize_gpu", cat="driver"):
+        return _legalize_impl(mesh, seed=seed, counter=counter)
 
 
 def _legalize_impl(mesh: TriMesh, *, seed: int,

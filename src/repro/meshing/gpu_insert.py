@@ -34,7 +34,7 @@ from ..errors import CavityError, MaxRoundsExceeded
 from ..resilience.addition import grow_array
 from ..resilience.deletion import ResilientRecyclePool
 from ..resilience.policy import launch_ok
-from ..vgpu.instrument import SANITIZER, TRACER, trace_span
+from ..vgpu.instrument import RESILIENCE, SANITIZER, TRACER, trace_span
 from ..vgpu.memory import RecyclePool
 from .cavity import delaunay_cavity, locate, retriangulate
 from .mesh import TriMesh
@@ -63,40 +63,34 @@ class InsertResult:
 def gpu_insert_points(mesh: TriMesh, x: np.ndarray, y: np.ndarray, *,
                       seed: int = 0, max_points_per_round: int = 4096,
                       counter: OpCounter | None = None,
-                      max_rounds: int = 100_000,
-                      sanitizer=None, tracer=None,
-                      resilience=None) -> InsertResult:
+                      max_rounds: int = 100_000) -> InsertResult:
     """Insert all points into ``mesh`` (mutated in place) concurrently.
 
     Points outside the mesh are rejected with ``ValueError``; exact
-    duplicates of existing vertices are skipped and counted.
-    ``sanitizer`` (opt-in) activates a :mod:`repro.analysis` detector
-    for the duration of the insertion rounds; ``tracer`` (opt-in)
-    records the rounds as a :mod:`repro.obs` span hierarchy.
-    ``resilience`` (opt-in, a :class:`repro.resilience.Resilience`)
-    absorbs transient round-boundary kernel aborts, degrades refused
-    over-allocating growth to exact fit, and falls back from Recycling
-    to Marking deletion on pool exhaustion; without it, injected device
+    duplicates of existing vertices are skipped and counted.  An
+    active sanitizer audits the insertion rounds and an active tracer
+    records them as a :mod:`repro.obs` span hierarchy.  A
+    :class:`repro.resilience.Resilience` in the
+    :data:`~repro.vgpu.instrument.RESILIENCE` slot absorbs transient
+    round-boundary kernel aborts, degrades refused over-allocating
+    growth to exact fit, and falls back from Recycling to Marking
+    deletion on pool exhaustion; with the slot empty, injected device
     faults propagate typed.
     """
-    with SANITIZER.maybe_activate(sanitizer):
-        with TRACER.maybe_activate(tracer):
-            with trace_span("meshing.gpu_insert_points", cat="driver"):
-                return _insert_impl(
-                    mesh, x, y, seed=seed,
-                    max_points_per_round=max_points_per_round,
-                    counter=counter, max_rounds=max_rounds,
-                    resil=resilience)
+    with trace_span("meshing.gpu_insert_points", cat="driver"):
+        return _insert_impl(mesh, x, y, seed=seed,
+                            max_points_per_round=max_points_per_round,
+                            counter=counter, max_rounds=max_rounds)
 
 
 def _insert_impl(mesh: TriMesh, x: np.ndarray, y: np.ndarray, *,
                  seed: int, max_points_per_round: int,
                  counter: OpCounter | None,
-                 max_rounds: int, resil=None) -> InsertResult:
+                 max_rounds: int) -> InsertResult:
     rng = np.random.default_rng(seed)
     ctr = counter or OpCounter()
-    pool = (ResilientRecyclePool(RecyclePool(), resilience=resil)
-            if resil is not None else RecyclePool())
+    pool = (ResilientRecyclePool(RecyclePool())
+            if RESILIENCE.current is not None else RecyclePool())
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     pending = list(range(x.size))
@@ -105,7 +99,7 @@ def _insert_impl(mesh: TriMesh, x: np.ndarray, y: np.ndarray, *,
     start_hint = int(mesh.live_slots()[0]) if mesh.num_triangles else 0
 
     while pending and rounds < max_rounds:
-        if not launch_ok(resil, "insertion.round"):
+        if not launch_ok("insertion.round"):
             continue    # absorbed transient abort: re-issue the round
         rounds += 1
         tr = TRACER.current
@@ -164,7 +158,7 @@ def _insert_impl(mesh: TriMesh, x: np.ndarray, y: np.ndarray, *,
             i, cav, _ = ok[int(j)]
             slots, new_tail = pool.allocate(len(cav) + 4, mesh.n_tris)
             if new_tail > mesh.tri.shape[0]:
-                grow_array(resil, mesh.ensure_tri_capacity,
+                grow_array(mesh.ensure_tri_capacity,
                            preferred=int(new_tail * 1.5) + 8,
                            exact=int(new_tail))
             mesh.n_tris = max(mesh.n_tris, new_tail)
@@ -242,14 +236,12 @@ def insertion_points(params, seed: int):
     return x, y
 
 
-def insertion_solve(mesh: TriMesh, x, y, strategy, seed: int, counter,
-                    resilience=None):
+def insertion_solve(mesh: TriMesh, x, y, strategy, seed: int, counter):
     """Insert ``(x, y)`` into ``mesh`` with the strategy's
     ``max_points_per_round``; returns the job's ``(arrays, summary)``."""
     res = gpu_insert_points(
         mesh, x, y, seed=seed, counter=counter,
-        max_points_per_round=int(strategy.get("max_points_per_round", 4096)),
-        resilience=resilience)
+        max_points_per_round=int(strategy.get("max_points_per_round", 4096)))
     out = res.mesh
     arrays = (out.tri[: out.n_tris], out.px[: out.n_pts],
               out.py[: out.n_pts], out.isdel[: out.n_tris])
@@ -282,5 +274,4 @@ random_mesh` cover the unit square, so the box stays inside the hull).
     strategy = resolve_strategy("insertion", params, strategy)
     mesh = insertion_mesh(params, seed)
     x, y = insertion_points(params, seed)
-    return insertion_solve(mesh, x, y, strategy, seed, ctx.counter,
-                           getattr(ctx, "resilience", None))
+    return insertion_solve(mesh, x, y, strategy, seed, ctx.counter)

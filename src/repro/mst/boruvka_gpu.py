@@ -34,7 +34,7 @@ import numpy as np
 from ..core.counters import OpCounter
 from ..resilience.policy import launch_ok
 from ..vgpu.atomics import atomic_min
-from ..vgpu.instrument import SANITIZER, TRACER, trace_span
+from ..vgpu.instrument import TRACER, trace_span
 
 __all__ = ["MSTResult", "boruvka_gpu", "mst_barrier", "mst_input",
            "mst_output", "mst_sizes", "mst_solve", "serve_job"]
@@ -53,8 +53,7 @@ class MSTResult:
 
 def boruvka_gpu(num_nodes: int, src: np.ndarray, dst: np.ndarray,
                 weight: np.ndarray, *, counter: OpCounter | None = None,
-                max_rounds: int = 128, barrier=None, sanitizer=None,
-                tracer=None, resilience=None) -> MSTResult:
+                max_rounds: int = 128, barrier=None) -> MSTResult:
     """Component-based Boruvka over a once-per-edge undirected list.
 
     ``barrier`` (an optional :class:`repro.vgpu.sync.BarrierModel`)
@@ -64,25 +63,22 @@ def boruvka_gpu(num_nodes: int, src: np.ndarray, dst: np.ndarray,
     moves, which is what makes the barrier a tunable axis for
     :mod:`repro.tune`.
 
-    ``sanitizer`` (opt-in) activates a :mod:`repro.analysis` detector
-    around the solve; the per-round atomic-min reductions report to it.
-    ``tracer`` (opt-in) records the rounds and four kernels as a
-    :mod:`repro.obs` span hierarchy.  ``resilience`` (opt-in) re-issues
-    rounds refused by transient injected kernel aborts; without it, the
-    fault propagates typed.
+    The per-round atomic-min reductions report to an active sanitizer,
+    and an active tracer records the rounds and four kernels as a
+    :mod:`repro.obs` span hierarchy.  A
+    :class:`repro.resilience.Resilience` in the
+    :data:`~repro.vgpu.instrument.RESILIENCE` slot re-issues rounds
+    refused by transient injected kernel aborts; with the slot empty,
+    the fault propagates typed.
     """
-    with SANITIZER.maybe_activate(sanitizer):
-        with TRACER.maybe_activate(tracer):
-            with trace_span("mst.boruvka_gpu", cat="driver"):
-                return _boruvka_impl(num_nodes, src, dst, weight,
-                                     counter=counter,
-                                     max_rounds=max_rounds,
-                                     barrier=barrier, resil=resilience)
+    with trace_span("mst.boruvka_gpu", cat="driver"):
+        return _boruvka_impl(num_nodes, src, dst, weight, counter=counter,
+                             max_rounds=max_rounds, barrier=barrier)
 
 
 def _boruvka_impl(num_nodes: int, src: np.ndarray, dst: np.ndarray,
                   weight: np.ndarray, *, counter: OpCounter | None,
-                  max_rounds: int, barrier=None, resil=None) -> MSTResult:
+                  max_rounds: int, barrier=None) -> MSTResult:
     ctr = counter or OpCounter()
     if barrier is not None:
         ctr.scalars["barrier_kind"] = barrier.index
@@ -99,7 +95,7 @@ def _boruvka_impl(num_nodes: int, src: np.ndarray, dst: np.ndarray,
     chosen: list[np.ndarray] = []
     rounds = 0
     while rounds < max_rounds:
-        if not launch_ok(resil, "mst.round"):
+        if not launch_ok("mst.round"):
             continue    # absorbed transient abort: re-issue the round
         rounds += 1
         tr = TRACER.current
@@ -215,10 +211,9 @@ def mst_barrier(strategy):
     return BARRIERS[strategy["barrier"]] if "barrier" in strategy else None
 
 
-def mst_solve(n, lo, hi, w, barrier, counter, resilience=None):
+def mst_solve(n, lo, hi, w, barrier, counter):
     """Contract the edge list; returns the job's ``(arrays, summary)``."""
-    res = boruvka_gpu(n, lo, hi, w, counter=counter, barrier=barrier,
-                      resilience=resilience)
+    res = boruvka_gpu(n, lo, hi, w, counter=counter, barrier=barrier)
     return mst_output(res.mst_edges, w, res.rounds, res.num_components)
 
 
@@ -252,5 +247,4 @@ def serve_job(params, strategy, seed, ctx):
 
     strategy = resolve_strategy("mst", params, strategy)
     n, lo, hi, w = mst_input(params, seed)
-    return mst_solve(n, lo, hi, w, mst_barrier(strategy), ctx.counter,
-                     getattr(ctx, "resilience", None))
+    return mst_solve(n, lo, hi, w, mst_barrier(strategy), ctx.counter)

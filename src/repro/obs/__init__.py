@@ -17,7 +17,8 @@ Usage mirrors the sanitizer::
     from repro.obs import Tracer, write_chrome_trace
 
     tr = Tracer()
-    refine_gpu(mesh, tracer=tr)          # every driver takes tracer=
+    with tr.activate():                  # the TRACER hook slot
+        refine_gpu(mesh)
     write_chrome_trace("trace.json", tr)
     print(tr.metrics()["modeled_us"])
 

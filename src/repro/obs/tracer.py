@@ -122,7 +122,8 @@ class Tracer(TracerHooks):
     # user-facing conveniences                                           #
     # ------------------------------------------------------------------ #
     def activate(self):
-        """Install this tracer for a ``with`` block (manual wiring)."""
+        """Install this tracer in the ``TRACER`` slot for a ``with``
+        block; drivers take no tracer argument."""
         return TRACER.activate(self)
 
     @contextmanager

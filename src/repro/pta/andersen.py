@@ -39,7 +39,7 @@ import numpy as np
 from ..core.counters import OpCounter
 from ..resilience.addition import FallbackStorage
 from ..resilience.policy import launch_ok
-from ..vgpu.instrument import SANITIZER, TRACER, trace_span
+from ..vgpu.instrument import RESILIENCE, TRACER, trace_span
 from .bitset import BitMatrix
 from .constraints import Constraints, Kind, generate_constraints
 from .graph import PullGraph
@@ -71,9 +71,7 @@ class PTAResult:
 def andersen_pull(cons: Constraints, *, chunk_size: int = 1024,
                   counter: OpCounter | None = None,
                   rep: np.ndarray | None = None,
-                  max_rounds: int = 10_000,
-                  sanitizer=None, tracer=None,
-                  resilience=None) -> PTAResult:
+                  max_rounds: int = 10_000) -> PTAResult:
     """Pull-based inclusion analysis; returns the fixed-point solution.
 
     ``rep`` (from :func:`repro.pta.cycles.collapse_cycles`) maps every
@@ -82,36 +80,34 @@ def andersen_pull(cons: Constraints, *, chunk_size: int = 1024,
     accumulate at representatives.  Query the result via
     :func:`repro.pta.cycles.expand_solution`.
 
-    ``sanitizer`` (opt-in) activates a :mod:`repro.analysis` detector
-    around the solve; the bit-matrix's atomic-or traffic and the chunk
-    allocator report to it.  ``tracer`` (opt-in) records the
+    The bit-matrix's atomic-or traffic and the chunk allocator report
+    to an active sanitizer, and an active tracer records the
     addedge/propagate rounds as a :mod:`repro.obs` span hierarchy.
-    ``resilience`` (opt-in) puts the edge lists behind the §7.1
-    fallback chain (Kernel-Only -> Kernel-Host -> Host-Only) and
-    re-issues rounds refused by transient injected kernel aborts; the
-    fixed point is a set, so a degraded run's result is byte-identical.
+    When a :class:`repro.resilience.Resilience` is in the
+    :data:`~repro.vgpu.instrument.RESILIENCE` slot at the start, the
+    edge lists go behind the §7.1 fallback chain (Kernel-Only ->
+    Kernel-Host -> Host-Only), and rounds refused by transient injected
+    kernel aborts are re-issued; the fixed point is a set, so a
+    degraded run's result is byte-identical.
     """
-    with SANITIZER.maybe_activate(sanitizer):
-        with TRACER.maybe_activate(tracer):
-            with trace_span("pta.andersen_pull", cat="driver"):
-                return _andersen_pull_impl(cons, chunk_size=chunk_size,
-                                           counter=counter, rep=rep,
-                                           max_rounds=max_rounds,
-                                           resil=resilience)
+    with trace_span("pta.andersen_pull", cat="driver"):
+        return _andersen_pull_impl(cons, chunk_size=chunk_size,
+                                   counter=counter, rep=rep,
+                                   max_rounds=max_rounds)
 
 
 def _andersen_pull_impl(cons: Constraints, *, chunk_size: int,
                         counter: OpCounter | None,
                         rep: np.ndarray | None,
-                        max_rounds: int, resil=None) -> PTAResult:
+                        max_rounds: int) -> PTAResult:
     n = cons.num_vars
     if rep is None:
         rep = np.arange(n, dtype=np.int64)
     ctr = counter or OpCounter()
     pts = BitMatrix(n, n)
     W = pts.words
-    storage = (FallbackStorage(n, chunk_size, resilience=resil)
-               if resil is not None else None)
+    storage = (FallbackStorage(n, chunk_size)
+               if RESILIENCE.current is not None else None)
     graph = PullGraph(n, chunk_size, storage=storage)
 
     # Initialization kernel: address-of constraints seed the sets.
@@ -133,7 +129,7 @@ def _andersen_pull_impl(cons: Constraints, *, chunk_size: int,
     changed = np.ones(n, dtype=bool)   # nodes whose pts changed last sweep
     rounds = sweeps = 0
     while rounds < max_rounds:
-        if not launch_ok(resil, "pta.round"):
+        if not launch_ok("pta.round"):
             continue    # absorbed transient abort: re-issue the round
         rounds += 1
         tr = TRACER.current
@@ -276,14 +272,13 @@ def pta_config(strategy) -> tuple[str, int]:
             int(strategy.get("chunk_size", 1024)))
 
 
-def pta_solve(cons: Constraints, variant: str, chunk_size: int, counter,
-              resilience=None) -> PTAResult:
+def pta_solve(cons: Constraints, variant: str, chunk_size: int,
+              counter) -> PTAResult:
     """Solve ``cons`` with the ``variant`` solver."""
     solver = andersen_pull
     if variant != "pull":
         from .push import andersen_push as solver
-    return solver(cons, counter=counter, chunk_size=chunk_size,
-                  resilience=resilience)
+    return solver(cons, counter=counter, chunk_size=chunk_size)
 
 
 def pta_output(pts: BitMatrix, rounds: int, edges_added: int, sweeps: int,
@@ -319,6 +314,6 @@ def serve_job(params, strategy, seed, ctx):
     strategy = resolve_strategy("pta", params, strategy)
     variant, chunk_size = pta_config(strategy)
     res = pta_solve(pta_input(params, seed), variant, chunk_size,
-                    ctx.counter, getattr(ctx, "resilience", None))
+                    ctx.counter)
     return pta_output(res.pts, res.rounds, res.edges_added,
                       res.propagation_sweeps, variant)

@@ -20,6 +20,7 @@ import numpy as np
 from ..core.counters import OpCounter
 from ..resilience.addition import FallbackStorage
 from ..resilience.policy import launch_ok
+from ..vgpu.instrument import RESILIENCE
 from .andersen import PTAResult, deref_pointers, induced_edges
 from .bitset import BitMatrix
 from .constraints import Constraints, Kind
@@ -30,26 +31,24 @@ __all__ = ["andersen_push"]
 
 def andersen_push(cons: Constraints, *, chunk_size: int = 1024,
                   counter: OpCounter | None = None,
-                  max_rounds: int = 10_000,
-                  resilience=None) -> PTAResult:
+                  max_rounds: int = 10_000) -> PTAResult:
     """Push-based inclusion analysis; same fixed point as the pull one.
 
-    ``resilience`` (opt-in) mirrors :func:`~repro.pta.andersen.\
-andersen_pull`: §7.1 fallback-chain edge storage plus round re-issue
-    on transient injected kernel aborts.
+    An installed :class:`repro.resilience.Resilience` acts as in
+    :func:`~repro.pta.andersen.andersen_pull`: §7.1 fallback-chain edge
+    storage plus round re-issue on transient injected kernel aborts.
     """
-    return _push_impl(cons, chunk_size, counter, max_rounds, resilience)
+    return _push_impl(cons, chunk_size, counter, max_rounds)
 
 
 def _push_impl(cons: Constraints, chunk_size: int,
-               counter: OpCounter | None, max_rounds: int,
-               resil=None) -> PTAResult:
+               counter: OpCounter | None, max_rounds: int) -> PTAResult:
     n = cons.num_vars
     ctr = counter or OpCounter()
     pts = BitMatrix(n, n)
     W = pts.words
-    storage = (FallbackStorage(n, chunk_size, resilience=resil)
-               if resil is not None else None)
+    storage = (FallbackStorage(n, chunk_size)
+               if RESILIENCE.current is not None else None)
     graph = PushGraph(n, chunk_size, storage=storage)
 
     p_addr, q_addr = cons.of_kind(Kind.ADDRESS_OF)
@@ -69,7 +68,7 @@ def _push_impl(cons: Constraints, chunk_size: int,
     changed = np.ones(n, dtype=bool)
     rounds = sweeps = 0
     while rounds < max_rounds:
-        if not launch_ok(resil, "pta.round"):
+        if not launch_ok("pta.round"):
             continue    # absorbed transient abort: re-issue the round
         rounds += 1
         # ---- Phase 1: edge addition (identical to the pull variant) -- #

@@ -11,15 +11,14 @@ preserves stored content exactly (chunk inserts are atomic w.r.t.
 allocation failure and flat stores are order-insensitive sets), a run
 that degrades mid-flight still produces byte-identical result arrays.
 
-Three tools:
+Two tools, both logging into the :class:`~repro.resilience.policy.\
+Resilience` in the :data:`~repro.vgpu.instrument.RESILIENCE` slot when
+a fault reaches them (with the slot empty the fault propagates typed):
 
 * :class:`FallbackStorage` — per-node growable ID sets (the PTA
   constraint-graph storage) that start Kernel-Only and downgrade
   Kernel-Only → Kernel-Host → Host-Only on
   :class:`~repro.errors.OutOfDeviceMemory`.
-* :class:`GrowthAndRetry` — wraps a :class:`~repro.core.addition.\
-PreAllocation` (or any growth strategy): on exhaustion it grows to the
-  exact requirement through the host heap and retries, instead of dying.
 * :func:`grow_array` — the driver-side guard for amortized
   (over-allocating) array growth: offers the preferred growth to the
   fault layer and falls back to exact-fit growth when refused.
@@ -29,13 +28,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.addition import GrowthStrategy, PreAllocation
 from ..errors import OutOfDeviceMemory
-from ..vgpu.instrument import fault_malloc, trace_gauge
+from ..vgpu.instrument import RESILIENCE, fault_malloc
 from ..vgpu.memory import ChunkAllocator, ChunkList, DeviceAllocator
 
-__all__ = ["FallbackStorage", "HostChunkAllocator", "GrowthAndRetry",
-           "grow_array"]
+__all__ = ["FallbackStorage", "HostChunkAllocator", "grow_array"]
 
 #: §7.1 chain order, most to least device-autonomous
 ADDITION_CHAIN = ("kernel_only", "kernel_host", "host_only")
@@ -72,13 +69,15 @@ class FallbackStorage:
     Node sets migrate to flat storage lazily (only nodes that *grow*
     after the ``host_only`` downgrade pay the copy), so the fallback
     cost is proportional to post-fault activity, not graph size.
+
+    The storage holds no :class:`~repro.resilience.policy.Resilience`:
+    a session checkpoint pickles it, and a downgrade must land in the
+    attempt that absorbed the fault, which is the one in the slot.
     """
 
-    def __init__(self, num_nodes: int, chunk_size: int = 1024, *,
-                 resilience=None) -> None:
+    def __init__(self, num_nodes: int, chunk_size: int = 1024) -> None:
         self.num_nodes = num_nodes
         self.chunk_size = chunk_size
-        self.resilience = resilience
         self.mode = "kernel_only"
         self.alloc = ChunkAllocator(chunk_size)
         self.host_alloc = DeviceAllocator()
@@ -87,11 +86,18 @@ class FallbackStorage:
                                        for _ in range(num_nodes)]
         self._flat: dict[int, np.ndarray] = {}
 
+    def __setstate__(self, state: dict) -> None:
+        # Checkpoints written while the storage held the Resilience it
+        # was built with carry a stale copy; the slot replaces it.
+        state.pop("resilience", None)
+        self.__dict__.update(state)
+
     # -- chain management ------------------------------------------- #
 
     def _downgrade(self, exc: OutOfDeviceMemory) -> None:
+        resil = RESILIENCE.current
         pos = ADDITION_CHAIN.index(self.mode)
-        if pos + 1 >= len(ADDITION_CHAIN):
+        if resil is None or pos + 1 >= len(ADDITION_CHAIN):
             raise exc
         prev, self.mode = self.mode, ADDITION_CHAIN[pos + 1]
         if self.mode == "kernel_host" and self._kh_alloc is None:
@@ -101,15 +107,8 @@ class FallbackStorage:
             # allocator stopped, so fragmentation stats stay global.
             self._kh_alloc.chunks_allocated = self.alloc.chunks_allocated
             self._kh_alloc.slots_used = self.alloc.slots_used
-        # note() mirrors the event as a gauge itself; emit directly only
-        # for un-managed (resilience-less) use so traces still see it.
-        if self.resilience is None:
-            trace_gauge("resilience.addition_downgrade",
-                        ADDITION_CHAIN.index(self.mode))
-        else:
-            self.resilience.note("addition_downgrade", from_=prev,
-                                 to=self.mode, reason=str(exc))
-            self.resilience.note_effective("addition", self.mode)
+        resil.note("addition_downgrade", from_=prev, to=self.mode,
+                   reason=str(exc))
 
     def _active_chunks(self) -> ChunkAllocator:
         return self._kh_alloc if self.mode == "kernel_host" else self.alloc
@@ -124,8 +123,6 @@ class FallbackStorage:
                 return self._active_chunks().insert_many(self.lists[node],
                                                          values)
             except OutOfDeviceMemory as exc:
-                if self.resilience is None:
-                    raise
                 self._downgrade(exc)
 
     def _flat_insert(self, node: int, values: np.ndarray) -> int:
@@ -150,51 +147,18 @@ class FallbackStorage:
         return self._active_chunks().chunks_allocated
 
 
-class GrowthAndRetry(GrowthStrategy):
-    """Growth-and-retry wrapper for :class:`PreAllocation` (§7.1).
-
-    ``ensure`` delegates to the wrapped strategy; when the fixed
-    reservation is exhausted it grows the array to the exact
-    requirement through the host heap (one realloc, no over-allocation
-    — the conservative emergency path) and records the degradation.
-    """
-
-    def __init__(self, inner: GrowthStrategy, *, resilience=None) -> None:
-        super().__init__(inner.alloc)
-        self.inner = inner
-        self.resilience = resilience
-        self.retries = 0
-
-    def ensure(self, arr: np.ndarray, needed: int, fill=None) -> np.ndarray:
-        try:
-            return self.inner.ensure(arr, needed, fill=fill)
-        except OutOfDeviceMemory as exc:
-            self.retries += 1
-            if self.resilience is None:
-                trace_gauge("resilience.growth_retry", self.retries)
-            else:
-                self.resilience.note(
-                    "growth_retry", requested=exc.requested,
-                    available=exc.available, strategy="preallocation")
-                self.resilience.note_effective("addition", "host_grown")
-            out = self.alloc.realloc(arr, int(needed), fill=fill)
-            if isinstance(self.inner, PreAllocation):
-                self.inner.capacity = max(self.inner.capacity, int(needed))
-            self.stats.reallocs += 1
-            return out
-
-
-def grow_array(resilience, grow, preferred: int, exact: int,
+def grow_array(grow, preferred: int, exact: int,
                row_bytes: int = 72) -> None:
     """Amortized-growth guard for driver-owned element arrays.
 
     Offers the *preferred* (over-allocated) growth to the fault layer
     first; if the device refuses it with
-    :class:`~repro.errors.OutOfDeviceMemory` and ``resilience`` is
-    given, falls back to the *exact* requirement (offered again — a
-    refusal there propagates: the device genuinely cannot hold the
-    data).  ``grow`` is the caller's growth callable (e.g.
-    ``mesh.ensure_tri_capacity``); ``row_bytes`` sizes the offer.
+    :class:`~repro.errors.OutOfDeviceMemory` and a
+    :class:`~repro.resilience.policy.Resilience` is installed, falls
+    back to the *exact* requirement (offered again — a refusal there
+    propagates: the device genuinely cannot hold the data).  ``grow``
+    is the caller's growth callable (e.g. ``mesh.ensure_tri_capacity``);
+    ``row_bytes`` sizes the offer.
 
     Content-identical by construction: preferred and exact growth
     differ only in spare capacity, which never enters a result digest.
@@ -202,10 +166,11 @@ def grow_array(resilience, grow, preferred: int, exact: int,
     try:
         fault_malloc(preferred * row_bytes)
     except OutOfDeviceMemory as exc:
-        if resilience is None:
+        resil = RESILIENCE.current
+        if resil is None:
             raise
-        resilience.note("growth_exact_fit", preferred=preferred,
-                        exact=exact, reason=str(exc))
+        resil.note("growth_exact_fit", preferred=preferred, exact=exact,
+                   reason=str(exc))
         fault_malloc(exact * row_bytes)
         grow(exact)
         return

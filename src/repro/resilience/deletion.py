@@ -23,6 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import RecyclePoolExhausted
+from ..vgpu.instrument import RESILIENCE
 from ..vgpu.memory import RecyclePool
 
 __all__ = ["ResilientRecyclePool"]
@@ -36,24 +37,24 @@ class ResilientRecyclePool:
     overflow or injected) flips it to marking mode: ``release`` becomes
     a no-op (slots stay flagged deleted, exactly Marking semantics) and
     ``acquire`` hands out nothing, so ``allocate`` serves fresh tail
-    slots only.  Without a :class:`~repro.resilience.policy.Resilience`
+    slots only.  The fallback is logged into the
+    :class:`~repro.resilience.policy.Resilience` in the
+    :data:`~repro.vgpu.instrument.RESILIENCE` slot; with the slot empty
     the exhaustion propagates typed instead.
     """
 
-    def __init__(self, pool: RecyclePool | None = None, *,
-                 resilience=None) -> None:
+    def __init__(self, pool: RecyclePool | None = None) -> None:
         self.pool = pool or RecyclePool()
-        self.resilience = resilience
         self.marking = False
         self.dropped_slots = 0
 
     def _fall_back(self, exc: RecyclePoolExhausted) -> None:
-        if self.resilience is None:
+        resil = RESILIENCE.current
+        if resil is None:
             raise exc
         self.marking = True
-        self.resilience.note("deletion_fallback", from_="recycle",
-                             to="marking", reason=str(exc))
-        self.resilience.note_effective("deletion", "marking")
+        resil.note("deletion_fallback", from_="recycle", to="marking",
+                   reason=str(exc))
 
     def release(self, slots) -> None:
         slots = np.atleast_1d(np.asarray(slots, dtype=np.int64))

@@ -1,8 +1,9 @@
 """The resilience runtime: policy knobs, retry budgets, event log.
 
-A :class:`Resilience` object is created per run (like a sanitizer or
-tracer instance) and handed to a driver via its ``resilience=``
-keyword.  It owns:
+A :class:`Resilience` object is created per job attempt and installed
+in the :data:`repro.vgpu.instrument.RESILIENCE` slot for the attempt
+(``with resil.activate():``); the job body does that when the spec
+opts in.  No driver takes one as an argument.  It owns:
 
 * the :class:`ResiliencePolicy` (plain data — retry budgets, stall
   thresholds, the escalation seed);
@@ -19,11 +20,11 @@ attempt), so a run's fault schedule does not depend on whether it has
 resilience.
 
 The module-level :func:`launch_ok` is the driver-side guard for
-round-boundary kernel launches: with no resilience it simply offers the
-launch to the fault layer (an injected abort propagates as the typed
-:class:`repro.errors.KernelAborted`); with resilience it absorbs aborts
-up to the policy's retry budget and tells the caller to re-issue the
-round.
+round-boundary kernel launches: with the slot empty it simply offers
+the launch to the fault layer (an injected abort propagates as the
+typed :class:`repro.errors.KernelAborted`); with a :class:`Resilience`
+installed it absorbs aborts up to the policy's retry budget and tells
+the caller to re-issue the round.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from ..errors import KernelAborted
-from ..vgpu.instrument import fault_kernel, trace_gauge
+from ..vgpu.instrument import RESILIENCE, fault_kernel, trace_gauge
 
 __all__ = ["ResiliencePolicy", "Resilience", "launch_ok"]
 
@@ -72,11 +73,13 @@ class Resilience:
         self.policy = policy or ResiliencePolicy()
         #: chronological degradation log: ``{"kind": ..., **detail}``
         self.events: list[dict] = []
-        #: axis -> value the run *actually* used after downgrades
-        #: (e.g. ``{"addition": "host_only"}``); empty = as configured
-        self.effective_strategy: dict = {}
         self._kernel_retries: dict[str, int] = {}
         self._counts: dict[str, int] = {}
+
+    def activate(self):
+        """Install this runtime in :data:`~repro.vgpu.instrument.\
+RESILIENCE` for a ``with`` block."""
+        return RESILIENCE.activate(self)
 
     @property
     def degraded(self) -> bool:
@@ -87,10 +90,6 @@ class Resilience:
         self.events.append({"kind": kind, **detail})
         self._counts[kind] = self._counts.get(kind, 0) + 1
         trace_gauge(f"resilience.{kind}", self._counts[kind])
-
-    def note_effective(self, axis: str, value) -> None:
-        """Record that ``axis`` effectively ran as ``value``."""
-        self.effective_strategy[axis] = value
 
     def launch_ok(self, name: str) -> bool:
         """Offer launch ``name`` to the fault layer; absorb transient
@@ -114,16 +113,11 @@ class Resilience:
             return False
         return True
 
-    def summary(self) -> dict:
-        """Plain-data view for job records / reports (out-of-band)."""
-        return {"degraded": self.degraded,
-                "events": [dict(e) for e in self.events],
-                "effective_strategy": dict(self.effective_strategy)}
 
-
-def launch_ok(resilience: Resilience | None, name: str) -> bool:
+def launch_ok(name: str) -> bool:
     """Round-boundary launch guard (see module docstring)."""
-    if resilience is None:
+    resil = RESILIENCE.current
+    if resil is None:
         fault_kernel(name)
         return True
-    return resilience.launch_ok(name)
+    return resil.launch_ok(name)

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..vgpu.instrument import trace_gauge
+from ..vgpu.instrument import RESILIENCE, trace_gauge
 
 __all__ = ["StallLadder"]
 
@@ -46,25 +46,30 @@ class StallLadder:
     def name(self) -> str:
         return LEVELS[self.level]
 
-    def escalate(self, resilience=None) -> bool:
-        """Step up one level; ``False`` when the ladder is exhausted."""
+    def escalate(self) -> bool:
+        """Step up one level; ``False`` when the ladder is exhausted.
+
+        The step is logged into the installed
+        :class:`~repro.resilience.policy.Resilience`, if any.
+        """
         if self.level >= self.max_level:
             return False
         self.level += 1
         self.escalations += 1
+        resil = RESILIENCE.current
         # note() mirrors the event as a gauge; emit directly only for
         # the un-managed (resilience-less) default ladder.
-        if resilience is None:
+        if resil is None:
             trace_gauge("resilience.stall_escalation", self.level)
         else:
-            resilience.note("stall_escalation", level=self.level,
-                            mode=self.name)
+            resil.note("stall_escalation", level=self.level, mode=self.name)
         return True
 
-    def reset(self, resilience=None) -> None:
+    def reset(self) -> None:
         """Progress was made: drop back to normal operation."""
-        if self.level and resilience is not None:
-            resilience.note("stall_recovered", from_level=self.level)
+        resil = RESILIENCE.current
+        if self.level and resil is not None:
+            resil.note("stall_recovered", from_level=self.level)
         self.level = 0
 
     def select(self, plans: list) -> list:

@@ -33,7 +33,7 @@ import numpy as np
 
 from ..core.counters import OpCounter
 from ..resilience.policy import launch_ok
-from ..vgpu.instrument import SANITIZER, TRACER, trace_span
+from ..vgpu.instrument import TRACER, trace_span
 from .factorgraph import FactorGraph, exclude_one, _ZERO
 from .formula import CNF, random_ksat
 from .walksat import walksat
@@ -138,27 +138,23 @@ def survey_iteration(fg: FactorGraph, *, counter: OpCounter | None = None,
 
 
 def run_sp(fg: FactorGraph, cfg: SPConfig,
-           counter: OpCounter | None = None, *,
-           sanitizer=None, tracer=None,
-           resilience=None) -> tuple[int, int, bool]:
+           counter: OpCounter | None = None) -> tuple[int, int, bool]:
     """Run SP phases with decimation until trivial/small/contradiction.
 
-    Returns ``(phases, total_iterations, contradiction)``.
-    ``sanitizer`` (opt-in) activates a :mod:`repro.analysis` detector
-    around the run so the device primitives report to it; ``tracer``
-    (opt-in) records SP phases as a :mod:`repro.obs` span hierarchy.
-    ``resilience`` (opt-in) re-issues SP phases refused by a transient
-    injected kernel abort; without it, the fault propagates typed.
+    Returns ``(phases, total_iterations, contradiction)``.  The device
+    primitives report to an active sanitizer, and an active tracer
+    records SP phases as a :mod:`repro.obs` span hierarchy.  A
+    :class:`repro.resilience.Resilience` in the
+    :data:`~repro.vgpu.instrument.RESILIENCE` slot re-issues SP phases
+    refused by a transient injected kernel abort; with the slot empty,
+    the fault propagates typed.
     """
-    with SANITIZER.maybe_activate(sanitizer):
-        with TRACER.maybe_activate(tracer):
-            with trace_span("satsp.run_sp", cat="driver"):
-                return _run_sp_impl(fg, cfg, counter, resilience)
+    with trace_span("satsp.run_sp", cat="driver"):
+        return _run_sp_impl(fg, cfg, counter)
 
 
 def _run_sp_impl(fg: FactorGraph, cfg: SPConfig,
-                 counter: OpCounter | None,
-                 resil=None) -> tuple[int, int, bool]:
+                 counter: OpCounter | None) -> tuple[int, int, bool]:
     rng = np.random.default_rng(cfg.seed)
     phases = iters = 0
     while phases < cfg.max_phases:
@@ -166,7 +162,7 @@ def _run_sp_impl(fg: FactorGraph, cfg: SPConfig,
             break
         if fg.num_live_clauses < cfg.handoff_ratio * fg.num_unfixed:
             break  # residual formula left the hard phase
-        if not launch_ok(resil, "sp.phase"):
+        if not launch_ok("sp.phase"):
             continue    # absorbed transient abort: re-issue the phase
         phases += 1
         tr = TRACER.current
@@ -213,16 +209,12 @@ def _run_sp_impl(fg: FactorGraph, cfg: SPConfig,
 
 
 def solve_sp(cnf: CNF, cfg: SPConfig | None = None,
-             counter: OpCounter | None = None, *,
-             sanitizer=None, tracer=None, resilience=None) -> SPResult:
+             counter: OpCounter | None = None) -> SPResult:
     """Full pipeline: SP + decimation, then WalkSAT on the residual."""
     cfg = cfg or SPConfig()
     ctr = counter or OpCounter()
     fg = FactorGraph(cnf, seed=cfg.seed)
-    phases, iters, contradiction = run_sp(fg, cfg, ctr,
-                                          sanitizer=sanitizer,
-                                          tracer=tracer,
-                                          resilience=resilience)
+    phases, iters, contradiction = run_sp(fg, cfg, ctr)
     if contradiction:
         return SPResult("CONTRADICTION", None, ctr, phases, iters,
                         fixed_by_sp=int((fg.fixed >= 0).sum()),
@@ -237,11 +229,10 @@ def solve_sp(cnf: CNF, cfg: SPConfig | None = None,
     flips = cfg.walksat_flips
     if flips is None:
         flips = min(max(50_000, 100 * residual.num_vars), 300_000)
-    with TRACER.maybe_activate(tracer):
-        with trace_span("satsp.walksat", cat="driver",
-                        residual_vars=residual.num_vars):
-            ws = walksat(residual, max_flips=flips, seed=cfg.seed,
-                         restarts=2, counter=ctr)
+    with trace_span("satsp.walksat", cat="driver",
+                    residual_vars=residual.num_vars):
+        ws = walksat(residual, max_flips=flips, seed=cfg.seed, restarts=2,
+                     counter=ctr)
     if ws is None:
         return SPResult("UNKNOWN", None, ctr, phases, iters, fixed_by_sp, 0)
     assignment = fg.full_assignment(ws, var_map)
@@ -282,9 +273,9 @@ def sp_config(strategy, seed: int) -> SPConfig:
     return SPConfig(seed=seed, **kwargs)
 
 
-def sp_solve(cnf: CNF, cfg: SPConfig, counter, resilience=None):
+def sp_solve(cnf: CNF, cfg: SPConfig, counter):
     """Run SP + WalkSAT; returns the job's ``(arrays, summary)``."""
-    res = solve_sp(cnf, cfg, counter=counter, resilience=resilience)
+    res = solve_sp(cnf, cfg, counter=counter)
     assignment = (res.assignment if res.assignment is not None
                   else np.zeros(0, dtype=np.int64))
     summary = {"status": res.status, "phases": res.phases,
@@ -315,4 +306,4 @@ def serve_job(params, strategy, seed, ctx):
 
     strategy = resolve_strategy("sp", params, strategy)
     return sp_solve(sp_input(params, seed), sp_config(strategy, seed),
-                    ctx.counter, getattr(ctx, "resilience", None))
+                    ctx.counter)

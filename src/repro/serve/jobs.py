@@ -110,7 +110,12 @@ class JobSpec:
 
 @dataclass
 class JobContext:
-    """Runtime facilities the job runner hands to an adapter."""
+    """Runtime facilities the job runner hands to an adapter.
+
+    The attempt's clients (fault injector, resilience, tracer,
+    sanitizer) are not among them: they sit in the
+    :mod:`repro.vgpu.instrument` hook slots for the attempt.
+    """
 
     counter: OpCounter
     #: called at the top of each engine round (faults + deadline)
@@ -120,9 +125,6 @@ class JobContext:
     save_checkpoint: Callable[[object], None] | None = None
     #: the checkpoint this attempt resumes from, if any
     resume_state: object | None = None
-    #: this attempt's :class:`repro.resilience.Resilience`, if the spec
-    #: opted in (drivers read it via ``getattr(ctx, "resilience", None)``)
-    resilience: object | None = None
 
 
 @dataclass
@@ -249,7 +251,6 @@ def engine_solve(n, lo, hi, w, params: Mapping, strategy: Mapping,
         snapshot=lambda: work.colors.copy(),
         on_checkpoint=ctx.save_checkpoint,
         resume=resume,
-        resilience=ctx.resilience,
     )
     summary = {"rounds": stats.rounds, "applied": stats.applied,
                "aborted": stats.aborted,

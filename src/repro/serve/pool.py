@@ -25,8 +25,13 @@ The execution model mirrors a small production queue:
   the device sites and the durable writes read it there, and the job
   start and the round hook call it.  Its event counters start at the
   attempt's start, so a plan fires on the same events with or without
-  ``resilience``.  A cold tune's trials run with the slot empty, so
-  they fire and count nothing.
+  ``resilience``.  Beside it, the attempt's own
+  :class:`~repro.resilience.Resilience` (a fresh one when the spec
+  opts in, none otherwise) sits in the
+  :data:`~repro.vgpu.instrument.RESILIENCE` slot, so every degradation
+  of the attempt, including one absorbed by a resumed session's
+  storage, lands in its event log.  A cold tune's trials run with both
+  slots empty, so they fire, count and absorb nothing.
 
 * **Timeouts are cooperative.**  The engine's ``round_hook`` checks a
   wall-clock deadline at each round boundary and raises
@@ -50,7 +55,7 @@ from dataclasses import dataclass, field
 from ..core.counters import OpCounter
 from ..core.engine import EngineCheckpoint
 from ..resilience import Resilience
-from ..vgpu.instrument import FAULTS
+from ..vgpu.instrument import FAULTS, RESILIENCE
 from .checkpoint import CheckpointStore
 from .faults import FaultInjected
 from .jobs import (JobContext, JobError, JobResult, JobSpec, digest_arrays,
@@ -137,10 +142,9 @@ def _execute_job(spec_dict: dict, checkpoint_dir: str | None,
                 (lambda ck: store.save(spec.name, ck))
                 if store is not None else None),
             resume_state=resume,
-            resilience=resil,
         )
         try:
-            with FAULTS.maybe_activate(injector):
+            with FAULTS.maybe_activate(injector), RESILIENCE.activate(resil):
                 if injector is not None:
                     injector.on_job_start()
                 if deadline is not None and time.monotonic() > deadline:

@@ -103,6 +103,8 @@ class BatchReport:
                 "resumed_round": r.resumed_round,
                 "queue_wait_s": r.queue_wait_s, "service_s": r.service_s,
                 "failures": list(r.failures),
+                "degraded": r.degraded,
+                "resilience_events": [dict(e) for e in r.resilience_events],
                 "digest": r.result.digest if r.result else None,
                 "summary": dict(r.result.summary) if r.result else None,
             } for r in self.records],

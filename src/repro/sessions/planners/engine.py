@@ -34,18 +34,17 @@ class EnginePlanner:
         self.arrays: tuple = ()
         self.summary: dict = {}
 
-    def open(self, counter, resilience=None) -> None:
+    def open(self, counter) -> None:
         self.n, self.lo, self.hi, self.w = engine_input(self.params,
                                                         self.seed)
-        self._solve_full(counter, resilience)
+        self._solve_full(counter)
 
-    def _solve_full(self, counter, resilience) -> None:
+    def _solve_full(self, counter) -> None:
         self.arrays, self.summary = engine_solve(
             self.n, self.lo, self.hi, self.w, self.params, self.strategy,
-            self.seed, JobContext(counter=counter, resilience=resilience))
+            self.seed, JobContext(counter=counter))
 
-    def apply_batch(self, ops, counter, threshold: float,
-                    resilience=None) -> BatchOutcome:
+    def apply_batch(self, ops, counter, threshold: float) -> BatchOutcome:
         old_lo, old_hi, old_edges = self.lo, self.hi, self.lo.size
         self.lo, self.hi, self.w, eff = apply_graph_mutations_tracked(
             self.n, old_lo, old_hi, self.w, ops)
@@ -62,7 +61,7 @@ class EnginePlanner:
         dirty_nodes = np.unique(np.concatenate([
             self.lo[changed], self.hi[changed],
             old_lo[dropped], old_hi[dropped]]))
-        self._solve_full(counter, resilience)
+        self._solve_full(counter)
         return BatchOutcome(
             mode="full", dirty=int(dirty_nodes.size), population=self.n,
             note="speculative recoloring follows one global RNG "

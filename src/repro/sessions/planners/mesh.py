@@ -42,27 +42,26 @@ class DmrPlanner:
         self.arrays: tuple = ()
         self.summary: dict = {}
 
-    def open(self, counter, resilience=None) -> None:
+    def open(self, counter) -> None:
         self.mesh, ops = dmr_input(self.params, self.seed)
-        self._solve(ops, counter, resilience)
+        self._solve(ops, counter)
 
-    def _solve(self, ops, counter, resilience) -> None:
+    def _solve(self, ops, counter) -> None:
         """Stage ``ops``' inserts, then refine a copy: the staged mesh
         must stay unrefined so the next batch's inserts land exactly
         where a cold run's would."""
         cfg = dmr_config(self.strategy, self.seed)
-        self.mesh = dmr_insert(self.mesh, ops, cfg, counter, resilience)
+        self.mesh = dmr_insert(self.mesh, ops, cfg, counter)
         self.arrays, self.summary = dmr_refine(self.mesh.copy(), cfg,
-                                               counter, resilience)
+                                               counter)
 
-    def apply_batch(self, ops, counter, threshold: float,
-                    resilience=None) -> BatchOutcome:
+    def apply_batch(self, ops, counter, threshold: float) -> BatchOutcome:
         effective = [op for op in ops if int(op.get("count", 0)) > 0]
         if not effective:
             return BatchOutcome(mode="cached", dirty=0,
                                 population=int(self.mesh.n_pts),
                                 note="batch inserted no points")
-        self._solve(effective, counter, resilience)
+        self._solve(effective, counter)
         return BatchOutcome(
             mode="delta", dirty=sum(int(op["count"]) for op in effective),
             population=int(self.mesh.n_pts),
@@ -82,17 +81,16 @@ class InsertionPlanner:
         self.arrays: tuple = ()
         self.summary: dict = {}
 
-    def open(self, counter, resilience=None) -> None:
+    def open(self, counter) -> None:
         self.x, self.y = insertion_points(self.params, self.seed)
-        self._solve_full(counter, resilience)
+        self._solve_full(counter)
 
-    def _solve_full(self, counter, resilience) -> None:
+    def _solve_full(self, counter) -> None:
         self.arrays, self.summary = insertion_solve(
             insertion_mesh(self.params, self.seed), self.x, self.y,
-            self.strategy, self.seed, counter, resilience)
+            self.strategy, self.seed, counter)
 
-    def apply_batch(self, ops, counter, threshold: float,
-                    resilience=None) -> BatchOutcome:
+    def apply_batch(self, ops, counter, threshold: float) -> BatchOutcome:
         dirty = 0
         for op in ops:
             before = self.x.size
@@ -103,7 +101,7 @@ class InsertionPlanner:
             return BatchOutcome(mode="cached", dirty=0,
                                 population=population,
                                 note="batch left the point batch unchanged")
-        self._solve_full(counter, resilience)
+        self._solve_full(counter)
         return BatchOutcome(
             mode="full", dirty=dirty, population=population,
             note="speculative insertion races all points against one RNG "

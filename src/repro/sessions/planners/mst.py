@@ -129,14 +129,14 @@ class MstPlanner:
         self.arrays: tuple = ()
         self.summary: dict = {}
 
-    def open(self, counter, resilience=None) -> None:
+    def open(self, counter) -> None:
         self.n, self.lo, self.hi, self.w = mst_input(self.params, self.seed)
-        self._solve_full(counter, resilience)
+        self._solve_full(counter)
 
-    def _solve_full(self, counter, resilience) -> None:
+    def _solve_full(self, counter) -> None:
         self.arrays, self.summary = mst_solve(
             self.n, self.lo, self.hi, self.w, mst_barrier(self.strategy),
-            counter, resilience)
+            counter)
         self.mst = self.arrays[0]
 
     def _sparse_finish(self, cand: np.ndarray, counter) -> np.ndarray:
@@ -166,8 +166,7 @@ class MstPlanner:
                        word_writes=int(picked.size) + self.n, barriers=1)
         return cand[picked]
 
-    def apply_batch(self, ops, counter, threshold: float,
-                    resilience=None) -> BatchOutcome:
+    def apply_batch(self, ops, counter, threshold: float) -> BatchOutcome:
         old_edges = self.lo.size
         self.lo, self.hi, self.w, eff = apply_graph_mutations_tracked(
             self.n, self.lo, self.hi, self.w, ops)
@@ -200,7 +199,7 @@ class MstPlanner:
             outcome.note = "edge list emptied; trivial forest"
             return outcome
         if outcome.dirty_fraction > threshold:
-            self._solve_full(counter, resilience)
+            self._solve_full(counter)
             outcome.mode = "full"
             outcome.note = (f"dirty fraction {outcome.dirty_fraction:.2f} "
                             f"over threshold {threshold:.2f}")

@@ -55,21 +55,19 @@ class PtaPlanner:
         self.arrays: tuple = ()
         self.summary: dict = {}
 
-    def open(self, counter, resilience=None) -> None:
+    def open(self, counter) -> None:
         self.cons = pta_input(self.params, self.seed)
-        self._solve_full(counter, resilience)
+        self._solve_full(counter)
 
-    def _solve_full(self, counter, resilience) -> None:
-        res = pta_solve(self.cons, self.variant, self.chunk_size, counter,
-                        resilience)
+    def _solve_full(self, counter) -> None:
+        res = pta_solve(self.cons, self.variant, self.chunk_size, counter)
         self.pts = res.pts
         self.graph = res.graph
         self.arrays, self.summary = pta_output(
             res.pts, res.rounds, res.edges_added, res.propagation_sweeps,
             self.variant)
 
-    def apply_batch(self, ops, counter, threshold: float,
-                    resilience=None) -> BatchOutcome:
+    def apply_batch(self, ops, counter, threshold: float) -> BatchOutcome:
         self.cons, changes = apply_constraint_mutations_tracked(self.cons,
                                                                 ops)
         added = sum(a.num_constraints for a, _ in changes)
@@ -84,17 +82,17 @@ class PtaPlanner:
             outcome.note = "batch left the constraint set unchanged"
             return outcome
         if dropped:
-            self._solve_full(counter, resilience)
+            self._solve_full(counter)
             outcome.mode = "full"
             outcome.note = "drop_constraints retracts facts (non-monotone)"
             return outcome
         if self.variant != "pull":
-            self._solve_full(counter, resilience)
+            self._solve_full(counter)
             outcome.mode = "full"
             outcome.note = "warm start is implemented for the pull variant"
             return outcome
         if outcome.dirty_fraction > threshold:
-            self._solve_full(counter, resilience)
+            self._solve_full(counter)
             outcome.mode = "full"
             outcome.note = (f"dirty fraction {outcome.dirty_fraction:.2f} "
                             f"over threshold {threshold:.2f}")

@@ -63,17 +63,15 @@ class SpPlanner:
         self.arrays: tuple = ()
         self.summary: dict = {}
 
-    def open(self, counter, resilience=None) -> None:
+    def open(self, counter) -> None:
         self.cnf = sp_input(self.params, self.seed)
-        self._solve_full(counter, resilience)
+        self._solve_full(counter)
 
-    def _solve_full(self, counter, resilience) -> None:
+    def _solve_full(self, counter) -> None:
         self.arrays, self.summary = sp_solve(
-            self.cnf, sp_config(self.strategy, self.seed), counter,
-            resilience)
+            self.cnf, sp_config(self.strategy, self.seed), counter)
 
-    def apply_batch(self, ops, counter, threshold: float,
-                    resilience=None) -> BatchOutcome:
+    def apply_batch(self, ops, counter, threshold: float) -> BatchOutcome:
         self.cnf, changes = apply_clause_mutations_tracked(self.cnf, ops)
         rows = [c.vars for pair in changes for c in pair]
         if not sum(r.shape[0] for r in rows):
@@ -82,7 +80,7 @@ class SpPlanner:
                                 note="batch left the formula unchanged")
         seeds = np.unique(np.concatenate(rows))
         dirty = reachable_variables(self.cnf.vars, self.cnf.num_vars, seeds)
-        self._solve_full(counter, resilience)
+        self._solve_full(counter)
         return BatchOutcome(
             mode="full", dirty=dirty, population=self.cnf.num_vars,
             note="SP draws one global RNG trajectory; only a full solve "

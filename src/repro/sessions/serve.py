@@ -40,8 +40,7 @@ def run_session_job(spec, ctx):
     sspec = SessionSpec.from_job_spec(spec)
     resume = (ctx.resume_state
               if isinstance(ctx.resume_state, EngineCheckpoint) else None)
-    session = Session.open(sspec, counter=ctx.counter,
-                           resilience=ctx.resilience, checkpoint=resume)
+    session = Session.open(sspec, counter=ctx.counter, checkpoint=resume)
     for i, ops in enumerate(sspec.batches, start=1):
         if session.recorded(i) is not None:
             continue            # already durable in the resumed state

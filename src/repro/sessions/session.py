@@ -86,12 +86,10 @@ class BatchResult:
 class Session:
     """A resumable incremental solving session over one input."""
 
-    def __init__(self, spec: SessionSpec, planner, counter: OpCounter,
-                 *, resilience=None) -> None:
+    def __init__(self, spec: SessionSpec, planner, counter: OpCounter) -> None:
         self.spec = spec
         self.planner = planner
         self.counter = counter
-        self.resilience = resilience
         self.log = MutationLog(compact_after=spec.compact_after)
         self.applied_batches = 0
         self.full_cost_s = 0.0
@@ -104,7 +102,7 @@ class Session:
 
     @classmethod
     def open(cls, spec: SessionSpec, *, counter: OpCounter | None = None,
-             resilience=None, checkpoint: EngineCheckpoint | None = None,
+             checkpoint: EngineCheckpoint | None = None,
              store=None) -> "Session":
         """Open a session: resume from a checkpoint if one is given (or
         the newest readable one in ``store``), otherwise cold-solve the
@@ -116,25 +114,23 @@ class Session:
             if isinstance(loaded, EngineCheckpoint):
                 checkpoint = loaded
         if checkpoint is not None:
-            return cls.resume(spec, checkpoint, counter=counter,
-                              resilience=resilience)
+            return cls.resume(spec, checkpoint, counter=counter)
 
         strategy = resolve_strategy(spec.algorithm, spec.params,
                                     spec.strategy)
         planner = planner_for(spec.algorithm)(spec.params, strategy,
                                               spec.seed)
         counter = counter if counter is not None else OpCounter()
-        session = cls(spec, planner, counter, resilience=resilience)
+        session = cls(spec, planner, counter)
         octr = OpCounter()
-        planner.open(octr, resilience=resilience)
+        planner.open(octr)
         session.full_cost_s = session._cost.gpu_time(octr)
         session.counter.merge(octr)
         return session
 
     @classmethod
     def resume(cls, spec: SessionSpec, checkpoint: EngineCheckpoint,
-               *, counter: OpCounter | None = None,
-               resilience=None) -> "Session":
+               *, counter: OpCounter | None = None) -> "Session":
         """Rebuild a session from a :meth:`checkpoint` snapshot.
 
         The checkpoint's recorded spec must match ``spec`` exactly —
@@ -153,7 +149,7 @@ class Session:
                 f"against a mismatched input")
         session = cls(spec, payload["planner"],
                       counter if counter is not None
-                      else checkpoint.counter, resilience=resilience)
+                      else checkpoint.counter)
         session.log = MutationLog.from_dict(payload["log"])
         session.applied_batches = int(checkpoint.round)
         session.full_cost_s = float(payload["full_cost_s"])
@@ -204,9 +200,8 @@ class Session:
         """Apply one mutation batch; recompute only the affected region."""
         ops = check_mutations(self.spec.algorithm, ops)
         bctr = OpCounter()
-        outcome = self.planner.apply_batch(
-            ops, bctr, self.spec.full_threshold,
-            resilience=self.resilience)
+        outcome = self.planner.apply_batch(ops, bctr,
+                                           self.spec.full_threshold)
         cost = self._cost.gpu_time(bctr)
         self.counter.merge(bctr)
         if outcome.mode == "full":

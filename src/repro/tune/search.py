@@ -35,7 +35,7 @@ import numpy as np
 
 from ..core.counters import OpCounter
 from ..vgpu.costmodel import CostModel
-from ..vgpu.instrument import FAULTS, TRACER
+from ..vgpu.instrument import FAULTS, RESILIENCE, TRACER
 from .cache import TuneRecord, TuningCache, fingerprint_params
 from .space import ConfigSpace, config_key, space_for
 
@@ -119,10 +119,12 @@ def score_config(algorithm: str, params: Mapping, config: Mapping,
         # it goes: the span's duration is the trial's modeled GPU time.
         tracer.on_span_begin("tune.trial", cat="tune", algorithm=algorithm,
                              scale=scale, config=config_key(cfg))
-    # A trial runs with no fault injector: a job's fault plan counts the
-    # job's own events, and a trial that absorbed a fault could write a
-    # degraded winner into the shared cache.
-    with TRACER.maybe_activate(tracer), FAULTS.activate(None):
+    # A trial runs with no fault injector and no resilience: a job's
+    # fault plan counts the job's own events, its event log is the job's
+    # own, and a trial that absorbed a fault could write a degraded
+    # winner into the shared cache.
+    with TRACER.maybe_activate(tracer), FAULTS.activate(None), \
+            RESILIENCE.activate(None):
         get_adapter(algorithm)(proxy_params(algorithm, params, scale), cfg,
                                seed, ctx)
     modeled = CostModel().gpu_time(ctx.counter)

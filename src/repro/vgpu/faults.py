@@ -36,11 +36,11 @@ produces a byte-identical result digest.
 Example::
 
     rules = FaultRules.of(
-        FaultRule("kernel_abort", kernel="refine.apply", at=(2,)),
+        FaultRule("kernel_abort", kernel="dmr.round", at=(2,)),
         FaultRule("oom", rate=0.05, seed=7),
     )
-    with rules.injector().activate() as inj:
-        refine_gpu(mesh, cfg, resilience=Resilience())
+    with rules.injector().activate() as inj, Resilience().activate():
+        refine_gpu(mesh, cfg)
     assert inj.fired["kernel_abort"] == 1
 """
 

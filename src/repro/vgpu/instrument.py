@@ -2,10 +2,12 @@
 
 This module is the *hook point* between the simulated device and its
 scoped clients — the :mod:`repro.analysis` sanitizer, the
-:mod:`repro.obs` tracer and the :mod:`repro.vgpu.faults` fault
-injector — and deliberately knows nothing about any concrete client.
-Each client kind has one process-global :class:`HookSlot`
-(:data:`SANITIZER`, :data:`TRACER`, :data:`FAULTS`); the device
+:mod:`repro.obs` tracer, the :mod:`repro.vgpu.faults` fault injector
+and the :mod:`repro.resilience` runtime — and deliberately knows
+nothing about any concrete client.  Each client kind has one
+process-global :class:`HookSlot` (:data:`SANITIZER`, :data:`TRACER`,
+:data:`FAULTS`, :data:`RESILIENCE`), and the slots are the only way a
+run gets its clients: no driver takes one as an argument.  The device
 primitives (:mod:`.atomics`, :mod:`.memory`, :mod:`.kernel`), the
 conflict engine (:mod:`repro.core.conflict`) and the counters read
 ``SLOT.current`` on every operation.  When no client is active (the
@@ -25,7 +27,7 @@ installed for a dynamic scope with its slot::
 
 A tracer is any object implementing :class:`TracerHooks` (the concrete
 one is :class:`repro.obs.Tracer`); it is installed with
-``TRACER.activate`` / ``TRACER.maybe_activate``.  Every
+``with tracer.activate():`` (``TRACER.activate``).  Every
 :class:`~repro.core.counters.OpCounter` reports its launches and scalar
 bumps to it, and the :func:`trace_span` / :func:`trace_gauge`
 convenience wrappers sprinkled through the device and core layers add
@@ -36,6 +38,14 @@ The :data:`FAULTS` slot holds at most one fault injector
 per job attempt.  The device offers it each failure surface through
 the ``fault_*`` wrappers below; :mod:`repro.storage` offers it every
 durable write, and the job body the job start and round boundaries.
+
+The :data:`RESILIENCE` slot holds at most one
+:class:`repro.resilience.Resilience`: the job body installs the
+attempt's own beside its injector when the spec opts in.  A driver
+looks at the slot when it starts, to choose its fallback-capable
+storage, and the §7.1/§7.2 ladders read it again when a fault or a
+stall reaches them, so state that outlives an attempt (a session's
+graph storage) logs into the attempt that absorbed the fault.
 
 Kernels that perform raw vectorized gathers/stores outside the atomics
 API can annotate them with :func:`record_read` / :func:`record_write`
@@ -49,7 +59,7 @@ from contextlib import contextmanager, nullcontext
 import numpy as np
 
 __all__ = [
-    "FAULTS", "SANITIZER", "TRACER",
+    "FAULTS", "RESILIENCE", "SANITIZER", "TRACER",
     "HookSlot", "SanitizerHooks", "TracerHooks",
     "fault_chunk", "fault_kernel", "fault_malloc", "fault_pool",
     "fault_transfer", "record_read", "record_write", "trace_gauge",
@@ -84,12 +94,9 @@ class HookSlot:
             self.current = prev
 
     def maybe_activate(self, client):
-        """Like :meth:`activate` but a no-op when ``client`` is ``None``.
-
-        This is the opt-in entry-point idiom: every algorithm driver
-        takes ``sanitizer=None`` / ``tracer=None`` keywords and wraps its
-        body in the matching slot's ``maybe_activate``.
-        """
+        """Like :meth:`activate` but a no-op when ``client`` is ``None``,
+        so an outer client stays installed (the job body's fault
+        injector, the tuner's optional tracer)."""
         if client is None:
             return nullcontext()
         return self.activate(client)
@@ -282,3 +289,8 @@ def fault_transfer(words: int) -> None:
     fc = FAULTS.current
     if fc is not None:
         fc.on_transfer(words)
+
+
+#: the active degradation runtime (a :class:`repro.resilience.Resilience`)
+#: that absorbs the faults above; empty means every fault propagates typed
+RESILIENCE = HookSlot()

@@ -256,11 +256,10 @@ class TestAdditionFallbackChain:
             FaultRule(kind="oom", at=(1,)))
         resil = Resilience()
         tracer = Tracer()
-        ctx = JobContext(counter=OpCounter(), resilience=resil)
-        with tracer.activate(), plan.injector().activate():
+        ctx = JobContext(counter=OpCounter())
+        with tracer.activate(), plan.injector().activate(), resil.activate():
             arrays, summary = get_adapter("pta")(
                 CHAOS_PARAMS["pta"], {}, 5, ctx)
-        assert resil.effective_strategy.get("addition") == "host_only"
         downs = [e for e in resil.events
                  if e["kind"] == "addition_downgrade"]
         assert [(d["from_"], d["to"]) for d in downs] == \
@@ -280,15 +279,15 @@ class TestDeletionFallback:
         plan = FaultRules.of(FaultRule(kind="pool_exhausted", at=(1,)))
         resil = Resilience()
         mesh = random_mesh(120, seed=3).copy()
-        with plan.injector().activate():
-            refine_gpu(mesh, DMRConfig(), resilience=resil)
+        with plan.injector().activate(), resil.activate():
+            refine_gpu(mesh, DMRConfig())
         return mesh, resil
 
     def test_marking_fallback_is_plan_deterministic(self):
         mesh_a, resil_a = self._run()
         mesh_b, resil_b = self._run()
-        assert any(e["kind"] == "deletion_fallback" for e in resil_a.events)
-        assert resil_a.effective_strategy.get("deletion") == "marking"
+        assert any(e["kind"] == "deletion_fallback" and e["to"] == "marking"
+                   for e in resil_a.events)
         mesh_a.validate()
         assert resil_a.events == resil_b.events
         np.testing.assert_array_equal(mesh_a.tri[:mesh_a.n_tris],
@@ -351,8 +350,8 @@ class TestEngineStallEscalation:
         # Five zero-win rounds: the pre-ladder engine raised after two.
         active, plan, apply = self._stubborn_workload(5)
         resil = Resilience()
-        stats = run_morph_rounds(active, plan, apply, lambda: 1,
-                                 resilience=resil)
+        with resil.activate():
+            stats = run_morph_rounds(active, plan, apply, lambda: 1)
         assert stats.applied == 1
         levels = [e["level"] for e in resil.events
                   if e["kind"] == "stall_escalation"]
@@ -363,9 +362,8 @@ class TestEngineStallEscalation:
         from repro.core.engine import run_morph_rounds
         active, plan, apply = self._stubborn_workload(10 ** 6)
         resil = Resilience(policy=ResiliencePolicy(max_escalations=0))
-        with pytest.raises(EngineStalled) as exc_info:
-            run_morph_rounds(active, plan, apply, lambda: 1,
-                             resilience=resil)
+        with pytest.raises(EngineStalled) as exc_info, resil.activate():
+            run_morph_rounds(active, plan, apply, lambda: 1)
         assert isinstance(exc_info.value, ReproError)
         assert exc_info.value.escalation == 0
         assert "stalled" in str(exc_info.value)
@@ -384,9 +382,9 @@ class TestChaosProperties:
             plan = FaultRules.of(FaultRule(
                 kind="kernel_abort", rate=rate, seed=fault_seed,
                 kernel=GUARD_KERNEL["mst"]))
-            ctx = JobContext(counter=OpCounter(), resilience=Resilience())
+            ctx = JobContext(counter=OpCounter())
             try:
-                with plan.injector().activate():
+                with plan.injector().activate(), Resilience().activate():
                     arrays, summary = get_adapter("mst")(
                         CHAOS_PARAMS["mst"], {}, 5, ctx)
             except ReproError as exc:

@@ -6,6 +6,8 @@ the ``BENCH_*.json`` round-trip."""
 
 from __future__ import annotations
 
+import dataclasses
+import inspect
 import json
 
 import numpy as np
@@ -17,8 +19,8 @@ from repro.obs import (BENCH_SCHEMA, Tracer, TraceSchemaError, chrome_trace,
                        metrics_dict, read_bench, validate_chrome_trace,
                        write_bench, write_chrome_trace)
 from repro.vgpu import CostModel, KernelLauncher, LaunchConfig
-from repro.vgpu.instrument import (FAULTS, SANITIZER, TRACER, trace_gauge,
-                                   trace_span)
+from repro.vgpu.instrument import (FAULTS, RESILIENCE, SANITIZER, TRACER,
+                                   trace_gauge, trace_span)
 
 
 def _launch(tr: Tracer, name: str = "k", counter: OpCounter | None = None,
@@ -207,7 +209,8 @@ def test_activate_installs_and_restores():
 
 
 @pytest.mark.parametrize(
-    "slot", [SANITIZER, TRACER, FAULTS], ids=["sanitizer", "tracer", "faults"])
+    "slot", [SANITIZER, TRACER, FAULTS, RESILIENCE],
+    ids=["sanitizer", "tracer", "faults", "resilience"])
 def test_hook_slot_contract(slot):
     outer, inner = object(), object()
     assert slot.current is None
@@ -226,6 +229,34 @@ def test_hook_slot_contract(slot):
                 raise RuntimeError("boom")
         assert slot.current is outer
     assert slot.current is None
+
+
+def test_clients_arrive_only_through_slots():
+    """No driver, adapter piece, session entry point or planner takes a
+    sanitizer, tracer or resilience, and the job context carries none."""
+    from repro.core.engine import run_morph_rounds
+    from repro.dmr.refine import dmr_insert, dmr_refine, refine_gpu
+    from repro.meshing.edgeflip import legalize_gpu
+    from repro.meshing.gpu_insert import gpu_insert_points, insertion_solve
+    from repro.mst.boruvka_gpu import boruvka_gpu, mst_solve
+    from repro.pta.andersen import andersen_pull, pta_solve
+    from repro.pta.push import andersen_push
+    from repro.satsp.sp import run_sp, solve_sp, sp_solve
+    from repro.serve.jobs import JobContext
+    from repro.sessions import Session, planned_algorithms, planner_for
+
+    fns = [refine_gpu, legalize_gpu, gpu_insert_points, boruvka_gpu,
+           andersen_pull, andersen_push, run_sp, solve_sp, run_morph_rounds,
+           dmr_insert, dmr_refine, insertion_solve, mst_solve, sp_solve,
+           pta_solve, Session.__init__, Session.open, Session.resume]
+    for algorithm in planned_algorithms():
+        planner = planner_for(algorithm)
+        fns += [planner.open, planner.apply_batch]
+    clients = {"sanitizer", "tracer", "resilience", "resil"}
+    for fn in fns:
+        assert not clients & set(inspect.signature(fn).parameters), \
+            fn.__qualname__
+    assert not clients & {f.name for f in dataclasses.fields(JobContext)}
 
 
 # --------------------------------------------------------------------- #
@@ -365,7 +396,8 @@ def test_traced_driver_end_to_end(small_mesh):
     from repro.dmr import refine_gpu
 
     tr = Tracer()
-    res = refine_gpu(small_mesh.copy(), tracer=tr)
+    with tr.activate():
+        res = refine_gpu(small_mesh.copy())
     doc = chrome_trace(tr)
     validate_chrome_trace(doc)
     cats = {e.get("cat") for e in doc["traceEvents"] if e["ph"] == "X"}
@@ -388,7 +420,8 @@ def test_tracer_draws_no_rng(small_mesh):
     plain = small_mesh.copy()
     traced = small_mesh.copy()
     refine_gpu(plain)
-    refine_gpu(traced, tracer=Tracer())
+    with Tracer().activate():
+        refine_gpu(traced)
     assert plain.n_tris == traced.n_tris
     assert np.array_equal(plain.tri[:plain.n_tris],
                           traced.tri[:traced.n_tris])

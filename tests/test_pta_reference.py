@@ -374,7 +374,7 @@ class TestSolversMatchReference:
 
         planner = PtaPlanner({"num_vars": n}, {"chunk_size": chunk_size}, 0)
         planner.cons = base
-        planner._solve_full(OpCounter(), None)
+        planner._solve_full(OpCounter())
         pts, g, _, _ = ref_pull(base, chunk_size)
 
         planner.cons = full
@@ -409,8 +409,8 @@ class TestFlatIndex:
         faults = FaultRules.of(FaultRule("chunk_exhausted", at=(2,)),
                                FaultRule("oom", at=(1,)))
         resil = Resilience()
-        with faults.injector().activate():
-            res = andersen_pull(cons, chunk_size=4, resilience=resil)
+        with faults.injector().activate(), resil.activate():
+            res = andersen_pull(cons, chunk_size=4)
         assert [e["to"] for e in resil.events] == ["kernel_host",
                                                    "host_only"]
         storage = res.graph.storage

@@ -303,8 +303,8 @@ class TestDriversClean:
     def test_dmr_refine_clean(self, small_mesh):
         from repro.dmr import DMRConfig, refine_gpu
         det = RaceDetector()
-        res = refine_gpu(small_mesh.copy(), DMRConfig(seed=3),
-                         sanitizer=det)
+        with det.activate():
+            res = refine_gpu(small_mesh.copy(), DMRConfig(seed=3))
         assert res.converged
         det.assert_clean()
 
@@ -314,7 +314,8 @@ class TestDriversClean:
         m = random_mesh(400, seed=9)
         random_legal_flips(m, 60, seed=1)
         det = RaceDetector()
-        legalize_gpu(m, seed=2, sanitizer=det)
+        with det.activate():
+            legalize_gpu(m, seed=2)
         det.assert_clean()
 
     def test_gpu_insert_clean(self):
@@ -325,7 +326,8 @@ class TestDriversClean:
         xs = r.uniform(m.px.min() + .05, m.px.max() - .05, 40)
         ys = r.uniform(m.py.min() + .05, m.py.max() - .05, 40)
         det = RaceDetector()
-        res = gpu_insert_points(m, xs, ys, seed=6, sanitizer=det)
+        with det.activate():
+            res = gpu_insert_points(m, xs, ys, seed=6)
         assert res.inserted + res.duplicates_skipped == 40
         det.assert_clean()
 
@@ -337,7 +339,8 @@ class TestDriversClean:
         dst = (src + 1 + r.integers(0, n - 1, m)) % n
         w = r.integers(1, 1000, m)
         det = RaceDetector()
-        res = boruvka_gpu(n, src, dst, w, sanitizer=det)
+        with det.activate():
+            res = boruvka_gpu(n, src, dst, w)
         # spanning-forest invariant (input need not be connected)
         assert res.mst_edges.size == n - res.num_components
         det.assert_clean()
@@ -346,8 +349,9 @@ class TestDriversClean:
         from repro.satsp.formula import random_ksat
         from repro.satsp.sp import SPConfig, solve_sp
         det = RaceDetector()
-        res = solve_sp(random_ksat(150, ratio=4.0, seed=2),
-                       SPConfig(seed=2), sanitizer=det)
+        with det.activate():
+            res = solve_sp(random_ksat(150, ratio=4.0, seed=2),
+                           SPConfig(seed=2))
         assert res.status == "SAT"
         det.assert_clean()
 
@@ -355,8 +359,8 @@ class TestDriversClean:
         from repro.pta.andersen import andersen_pull
         from repro.pta.constraints import generate_constraints
         det = RaceDetector()
-        res = andersen_pull(generate_constraints(120, 360, seed=3),
-                            sanitizer=det)
+        with det.activate():
+            res = andersen_pull(generate_constraints(120, 360, seed=3))
         assert res.total_facts() > 0
         det.assert_clean()
 

@@ -11,6 +11,8 @@ also add up to the figure: the tracer's clock equals
 
 from __future__ import annotations
 
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
 
@@ -22,12 +24,16 @@ from repro.vgpu import CostModel
 MODES = ["plain", "tracer", "sanitizer"]
 
 
-def _kwargs(mode):
+def _client(mode):
     if mode == "tracer":
-        return {"tracer": Tracer()}
+        return Tracer()
     if mode == "sanitizer":
-        return {"sanitizer": RaceDetector()}
-    return {}
+        return RaceDetector()
+    return None
+
+
+def _active(client):
+    return nullcontext() if client is None else client.activate()
 
 
 def _totals(ctr: OpCounter) -> dict:
@@ -37,12 +43,10 @@ def _totals(ctr: OpCounter) -> dict:
             for name, ks in ctr}
 
 
-def _assert_same_counters(a: OpCounter, b: OpCounter, label: str,
-                          kwargs: dict):
+def _assert_same_counters(a: OpCounter, b: OpCounter, label: str, client):
     assert _totals(a) == _totals(b), label
-    tracer = kwargs.get("tracer")
-    if tracer is not None:
-        assert tracer.now_us == pytest.approx(
+    if isinstance(client, Tracer):
+        assert client.now_us == pytest.approx(
             CostModel().gpu_time(b) * 1e6, rel=1e-9)
 
 
@@ -50,16 +54,16 @@ def _assert_same_counters(a: OpCounter, b: OpCounter, label: str,
 def test_dmr_refine_stable(small_mesh, mode):
     from repro.dmr import refine_gpu
 
-    kw = _kwargs(mode)
-    runs = [refine_gpu(small_mesh.copy(), **_kwargs("plain")),
-            refine_gpu(small_mesh.copy(), **kw)]
-    a, b = runs
+    client = _client(mode)
+    a = refine_gpu(small_mesh.copy())
+    with _active(client):
+        b = refine_gpu(small_mesh.copy())
     assert a.points_added == b.points_added
     assert a.rounds == b.rounds
     assert a.mesh.n_tris == b.mesh.n_tris
     assert np.array_equal(a.mesh.tri[:a.mesh.n_tris],
                           b.mesh.tri[:b.mesh.n_tris])
-    _assert_same_counters(a.counter, b.counter, mode, kw)
+    _assert_same_counters(a.counter, b.counter, mode, client)
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -67,16 +71,17 @@ def test_legalize_stable(mode):
     from repro.meshing.edgeflip import legalize_gpu, random_legal_flips
     from repro.meshing.generate import random_mesh
 
-    def run(kw):
+    def run(client):
         mesh = random_mesh(300, seed=5)
         random_legal_flips(mesh, 25, seed=6)
-        return legalize_gpu(mesh, seed=7, **kw), mesh
+        with _active(client):
+            return legalize_gpu(mesh, seed=7), mesh
 
-    kw = _kwargs(mode)
-    (a, ma), (b, mb) = run(_kwargs("plain")), run(kw)
+    client = _client(mode)
+    (a, ma), (b, mb) = run(None), run(client)
     assert a.flips == b.flips and a.rounds == b.rounds
     assert np.array_equal(ma.tri[:ma.n_tris], mb.tri[:mb.n_tris])
-    _assert_same_counters(a.counter, b.counter, mode, kw)
+    _assert_same_counters(a.counter, b.counter, mode, client)
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -88,16 +93,17 @@ def test_gpu_insert_stable(mode):
     x = rng.uniform(0.35, 0.6, 12)
     y = rng.uniform(0.35, 0.6, 12)
 
-    def run(kw):
+    def run(client):
         mesh = random_mesh(200, seed=9)
-        return gpu_insert_points(mesh, x, y, seed=10, **kw)
+        with _active(client):
+            return gpu_insert_points(mesh, x, y, seed=10)
 
-    kw = _kwargs(mode)
-    a, b = run(_kwargs("plain")), run(kw)
+    client = _client(mode)
+    a, b = run(None), run(client)
     assert a.inserted == b.inserted and a.rounds == b.rounds
     assert np.array_equal(a.mesh.tri[:a.mesh.n_tris],
                           b.mesh.tri[:b.mesh.n_tris])
-    _assert_same_counters(a.counter, b.counter, mode, kw)
+    _assert_same_counters(a.counter, b.counter, mode, client)
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -106,13 +112,14 @@ def test_boruvka_stable(mode):
     from repro.mst import boruvka_gpu
 
     n, src, dst, w = random_graph(300, 1200, seed=21)
-    a = boruvka_gpu(n, src, dst, w, **_kwargs("plain"))
-    kw = _kwargs(mode)
-    b = boruvka_gpu(n, src, dst, w, **kw)
+    a = boruvka_gpu(n, src, dst, w)
+    client = _client(mode)
+    with _active(client):
+        b = boruvka_gpu(n, src, dst, w)
     assert a.total_weight == b.total_weight
     assert np.array_equal(a.mst_edges, b.mst_edges)
     assert a.rounds == b.rounds
-    _assert_same_counters(a.counter, b.counter, mode, kw)
+    _assert_same_counters(a.counter, b.counter, mode, client)
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -120,13 +127,14 @@ def test_andersen_stable(mode):
     from repro.pta import andersen_pull, generate_constraints
 
     cons = generate_constraints(120, 200, seed=3)
-    a = andersen_pull(cons, **_kwargs("plain"))
-    kw = _kwargs(mode)
-    b = andersen_pull(cons, **kw)
+    a = andersen_pull(cons)
+    client = _client(mode)
+    with _active(client):
+        b = andersen_pull(cons)
     assert a.total_facts() == b.total_facts()
     assert a.pts.equal(b.pts)
     assert a.rounds == b.rounds and a.edges_added == b.edges_added
-    _assert_same_counters(a.counter, b.counter, mode, kw)
+    _assert_same_counters(a.counter, b.counter, mode, client)
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -135,9 +143,10 @@ def test_solve_sp_stable(mode):
     from repro.satsp.sp import SPConfig, solve_sp
 
     cnf = random_ksat(300, 3, ratio=3.2, seed=17)
-    a = solve_sp(cnf, SPConfig(seed=17), **_kwargs("plain"))
-    kw = _kwargs(mode)
-    b = solve_sp(cnf, SPConfig(seed=17), **kw)
+    a = solve_sp(cnf, SPConfig(seed=17))
+    client = _client(mode)
+    with _active(client):
+        b = solve_sp(cnf, SPConfig(seed=17))
     assert a.status == b.status
     assert a.phases == b.phases
     assert a.total_iterations == b.total_iterations
@@ -145,7 +154,7 @@ def test_solve_sp_stable(mode):
         assert b.assignment is None
     else:
         assert np.array_equal(a.assignment, b.assignment)
-    _assert_same_counters(a.counter, b.counter, mode, kw)
+    _assert_same_counters(a.counter, b.counter, mode, client)
 
 
 # --------------------------------------------------------------------- #

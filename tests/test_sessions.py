@@ -17,7 +17,9 @@ codes and checkpoint writes.
 
 from __future__ import annotations
 
+import io
 import json
+import pickle
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +31,9 @@ from repro.core.engine import EngineCheckpoint
 from repro.errors import SessionStateError
 from repro.mst import kruskal
 from repro.obs import Tracer, chrome_trace, validate_chrome_trace
+from repro.resilience import Resilience
 from repro.serve import CheckpointStore, Scheduler
+from repro.serve.checkpoint import dumps_state, loads_state
 from repro.serve.jobs import (JobContext, JobSpec, digest_arrays,
                              estimate_cost, get_adapter)
 from repro.sessions import (DEFAULT_FULL_THRESHOLD, MutationLog, Session,
@@ -39,6 +43,7 @@ from repro.sessions.__main__ import main as sessions_cli
 from repro.sessions.planners.mst import MstPlanner, forest_components
 from repro.sessions.serve import run_session_job
 from repro.vgpu.costmodel import CostModel
+from repro.vgpu.faults import FaultRule, FaultRules
 from repro.vgpu.sync import BARRIERS
 
 pytestmark = pytest.mark.session
@@ -415,6 +420,64 @@ def test_checkpoint_resume_byte_identity(tmp_path):
     assert ([r.digest for r in resumed.results]
             == [r.digest for r in straight.results])
     assert resumed.digest() == resumed.cold_digest()
+
+
+def _pickled_classes(data: bytes) -> set[str]:
+    """The name of every class a pickle stream refers to."""
+    names: set[str] = set()
+
+    class Recording(pickle.Unpickler):
+        def find_class(self, module, name):
+            names.add(name)
+            return super().find_class(module, name)
+
+    Recording(io.BytesIO(data)).load()
+    return names
+
+
+_RESILIENT_PTA = SessionSpec("p", "pta", params={"num_vars": 150,
+                                                 "num_constraints": 200},
+                             seed=3)
+
+
+def test_resumed_resilient_session_logs_into_the_new_attempt():
+    """A resilient PTA session's storage outlives the attempt that built
+    it; a fault absorbed after a resume must land in the Resilience of
+    the attempt that resumed, and no Resilience rides in the checkpoint."""
+    spec = _RESILIENT_PTA
+    first = Resilience()
+    with first.activate():
+        session = Session.open(spec)
+    data = dumps_state(session.checkpoint())
+    names = _pickled_classes(data)
+    assert "FallbackStorage" in names
+    assert not {"Resilience", "ResiliencePolicy"} & names
+    checkpoint = loads_state(data)
+
+    second = Resilience()
+    plan = FaultRules.of(FaultRule("chunk_exhausted", at=(1,)))
+    with second.activate(), plan.injector().activate():
+        resumed = Session.resume(spec, checkpoint)
+        result = resumed.apply_batch(
+            [{"op": "add_constraints", "count": 30, "seed": 5}])
+    assert result.mode == "delta"
+    assert [(e["kind"], e["from_"], e["to"]) for e in second.events] == \
+        [("addition_downgrade", "kernel_only", "kernel_host")]
+    assert first.events == []
+    assert result.digest == resumed.cold_digest()
+
+
+def test_resume_drops_the_resilience_an_older_checkpoint_holds():
+    """Older checkpoints pickled the Resilience a session's
+    FallbackStorage was built with; resuming one drops that copy."""
+    with Resilience().activate():
+        session = Session.open(_RESILIENT_PTA)
+    session.planner.graph.storage.resilience = Resilience()  # older layout
+    checkpoint = loads_state(dumps_state(session.checkpoint()))
+    resumed = Session.resume(_RESILIENT_PTA, checkpoint)
+    assert not hasattr(resumed.planner.graph.storage, "resilience")
+    assert "Resilience" not in _pickled_classes(
+        dumps_state(resumed.checkpoint()))
 
 
 def test_resume_refuses_mismatched_spec(tmp_path):

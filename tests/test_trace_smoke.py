@@ -4,8 +4,8 @@ One *small* traced run per algorithm driver: each test runs the driver
 with a :class:`repro.obs.Tracer`, exports the Chrome trace to disk,
 re-loads it, validates it against the schema, and checks that the trace
 adds up to ``CostModel.gpu_time`` of the run's counter.  These double as
-the end-to-end check that every driver's ``tracer=`` opt-in stays
-wired."""
+the end-to-end check that every driver reports to a tracer installed
+with ``Tracer.activate()``."""
 
 from __future__ import annotations
 
@@ -39,7 +39,8 @@ def test_trace_smoke_dmr(tmp_path):
     from repro.meshing.generate import random_mesh
 
     tr = Tracer()
-    res = refine_gpu(random_mesh(300, seed=1), tracer=tr)
+    with tr.activate():
+        res = refine_gpu(random_mesh(300, seed=1))
     assert res.converged
     doc = _export_and_validate(tmp_path, tr, "dmr", res.counter,
                                ("driver", "iteration", "host"))
@@ -55,7 +56,8 @@ def test_trace_smoke_edgeflip(tmp_path):
     mesh = random_mesh(200, seed=2)
     random_legal_flips(mesh, 15, seed=3)
     tr = Tracer()
-    res = legalize_gpu(mesh, seed=4, tracer=tr)
+    with tr.activate():
+        res = legalize_gpu(mesh, seed=4)
     _export_and_validate(tmp_path, tr, "edgeflip", res.counter)
 
 
@@ -65,9 +67,10 @@ def test_trace_smoke_insert(tmp_path):
 
     rng = np.random.default_rng(5)
     tr = Tracer()
-    res = gpu_insert_points(random_mesh(150, seed=5),
-                            rng.uniform(0.4, 0.6, 6),
-                            rng.uniform(0.4, 0.6, 6), seed=6, tracer=tr)
+    with tr.activate():
+        res = gpu_insert_points(random_mesh(150, seed=5),
+                                rng.uniform(0.4, 0.6, 6),
+                                rng.uniform(0.4, 0.6, 6), seed=6)
     assert res.inserted == 6
     doc = _export_and_validate(tmp_path, tr, "insert", res.counter)
     launches = {e["name"] for e in doc["traceEvents"]
@@ -81,7 +84,8 @@ def test_trace_smoke_mst(tmp_path):
 
     n, src, dst, w = random_graph(200, 800, seed=7)
     tr = Tracer()
-    res = boruvka_gpu(n, src, dst, w, tracer=tr)
+    with tr.activate():
+        res = boruvka_gpu(n, src, dst, w)
     _export_and_validate(tmp_path, tr, "mst", res.counter)
 
 
@@ -89,7 +93,8 @@ def test_trace_smoke_pta(tmp_path):
     from repro.pta import andersen_pull, generate_constraints
 
     tr = Tracer()
-    res = andersen_pull(generate_constraints(80, 140, seed=8), tracer=tr)
+    with tr.activate():
+        res = andersen_pull(generate_constraints(80, 140, seed=8))
     _export_and_validate(tmp_path, tr, "pta", res.counter)
 
 
@@ -98,7 +103,8 @@ def test_trace_smoke_sp(tmp_path):
     from repro.satsp.sp import SPConfig, solve_sp
 
     tr = Tracer()
-    res = solve_sp(random_ksat(250, 3, seed=9),
-                   SPConfig(seed=9, max_iters=60, max_phases=5,
-                            require_convergence=False), tracer=tr)
+    with tr.activate():
+        res = solve_sp(random_ksat(250, 3, seed=9),
+                       SPConfig(seed=9, max_iters=60, max_phases=5,
+                                require_convergence=False))
     _export_and_validate(tmp_path, tr, "sp", res.counter, ("driver",))
